@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-tables bench-pipeline bench-fuzz bench-cert bench-serve fuzz examples lint-smoke all
+.PHONY: install test bench bench-tables bench-pipeline bench-fuzz bench-cert bench-serve bench-e2e fuzz examples lint-smoke all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -32,6 +32,10 @@ bench-cert:
 # Serve front-line loadtest with admission gates -> BENCH_serve.json.
 bench-serve:
 	$(PYTHON) benchmarks/bench_serve.py
+
+# The repo benchmark (BENCHMARK.json): every workload, every metric.
+bench-e2e:
+	python3 benchmarks/e2e/run.py
 
 # A real differential fuzzing campaign (docs/fuzzing.md).
 fuzz:

@@ -36,7 +36,7 @@ from repro.lang.ast import (
     iter_statements,
     program_size,
 )
-from repro.lang.lexer import Lexer, tokenize
+from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser, parse_expression, parse_program, parse_statement
 from repro.lang.pretty import pretty
 from repro.lang.validate import validate_program
@@ -64,7 +64,6 @@ __all__ = [
     "iter_nodes",
     "iter_statements",
     "program_size",
-    "Lexer",
     "tokenize",
     "Parser",
     "parse_program",

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 #: Reserved words of the language.  ``mod`` is the modulo operator;
@@ -61,8 +60,7 @@ SYMBOLS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A lexical token.
 
     ``kind`` is one of ``"ident"``, ``"int"``, ``"keyword"``,

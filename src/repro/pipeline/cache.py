@@ -31,7 +31,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 #: Bump when the on-disk entry format changes (part of every key).
 CACHE_FORMAT = 1
@@ -127,27 +127,29 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[dict]:
         """The cached result for ``key``, or ``None`` on miss/corruption."""
+        return self.lookup(key)[0]
+
+    def lookup(self, key: str) -> Tuple[Optional[dict], bool]:
+        """:meth:`get`'s answer and whether *this* read found corruption."""
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except FileNotFoundError:
             self.stats.misses += 1
-            return None
+            return None, False
         except (OSError, ValueError):
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            return None
+            payload = None
         if not isinstance(payload, dict) or payload.get("key") != key \
                 or "result" not in payload:
             self.stats.corrupt += 1
             self.stats.misses += 1
-            return None
+            return None, True
         self.stats.hits += 1
-        return payload["result"]
+        return payload["result"], False
 
-    def put(self, key: str, analysis: str, result: dict) -> None:
-        """Atomically store ``result`` under ``key`` (best effort).
+    def put(self, key: str, analysis: str, result: dict) -> bool:
+        """Atomically store ``result`` under ``key``; True if it landed.
 
         The temp file is removed in a ``finally`` whenever the write
         did not complete — a serialization error or a failing
@@ -169,8 +171,9 @@ class ResultCache:
             os.replace(tmp, path)
             tmp = None  # the write landed; nothing to clean up
             self.stats.writes += 1
+            return True
         except (OSError, TypeError, ValueError):
-            return
+            return False
         finally:
             if tmp is not None:
                 try:
@@ -262,6 +265,7 @@ class TieredCache:
         self.disk = disk
         self.lru = lru if lru is not None else MemoryLRU()
         self.stats = CacheStats()
+        self._lock = threading.Lock()
 
     @property
     def root(self) -> Optional[str]:
@@ -271,36 +275,31 @@ class TieredCache:
     def get(self, key: str) -> Optional[dict]:
         """Memory first, then disk (promoting the entry on a disk hit)."""
         found = self.lru.get(key)
-        if found is not None:
-            self.stats.hits += 1
-            return found
-        if self.disk is not None:
-            # Count corruption by delta, not by mirroring the disk
-            # tier's cumulative counter: a hit would otherwise leave
-            # the combined counter stale, and two tiered caches
-            # sharing one disk store would each claim the other's
-            # corrupt entries.
-            corrupt_before = self.disk.stats.corrupt
-            found = self.disk.get(key)
-            self.stats.corrupt += self.disk.stats.corrupt - corrupt_before
+        if found is None and self.disk is not None:
+            # this read's own outcome: a shared store's counters move
+            # for every reader
+            found, corrupt = self.disk.lookup(key)
+            if corrupt:
+                self._count("corrupt")
             if found is not None:
                 self.lru.put(key, found)
-                self.stats.hits += 1
-                return found
-        self.stats.misses += 1
-        return None
+        self._count("misses" if found is None else "hits")
+        return found
 
     def put(self, key: str, analysis: str, result: dict) -> None:
-        """Store ``result`` in both tiers (disk write is best effort)."""
+        """Store ``result`` in both tiers; count only a write that landed."""
         self.lru.put(key, result)
         if self.disk is not None:
-            # The disk tier swallows write failures; only count a
-            # combined write when its own counter says one landed.
-            writes_before = self.disk.stats.writes
-            self.disk.put(key, analysis, result)
-            self.stats.writes += self.disk.stats.writes - writes_before
-        elif self.lru.capacity > 0:
-            self.stats.writes += 1
+            landed = self.disk.put(key, analysis, result)
+        else:
+            landed = self.lru.capacity > 0
+        if landed:
+            self._count("writes")
+
+    def _count(self, counter: str) -> None:
+        # request threads share one TieredCache; += alone can lose updates
+        with self._lock:
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
     def lru_stats(self) -> Dict[str, int]:
         """The memory tier's own counters (see :class:`MemoryLRU`)."""

@@ -11,17 +11,18 @@ document.  The execution strategy:
 2. the parent resolves cache hits up front (a warm run never touches
    the pool at all, which is what makes re-runs near-free);
 3. the remaining tasks go to a ``concurrent.futures`` process pool
-   when ``jobs > 1`` (workers re-parse the source — parsing is a tiny
-   fraction of any analysis this pipeline runs).  Tasks are dispatched
-   in *chunks*: many (program, analysis) cells ride one submitted
-   task, so executor dispatch and pickling are amortized instead of
-   dominating tiny analyses (``chunk_size``; auto-sized from the
-   pending-cell count and ``jobs``).  When the pool is freshly forked
-   for the run, the canonical corpus is published in a module-level
-   snapshot *before* the fork and payloads carry indices into it —
-   source text never crosses the pickle boundary at all (inline
-   payloads remain the fallback under spawn and for persistent pools
-   whose workers predate the corpus);
+   when ``jobs > 1``.  Tasks are dispatched in *chunks*: many
+   (program, analysis) cells ride one submitted task, so executor
+   dispatch and pickling are amortized instead of dominating tiny
+   analyses (``chunk_size``; auto-sized from the pending-cell count
+   and ``jobs``).  Workers re-parse the source, which costs more than
+   a cert or Denning pass, so they parse each program once per chunk
+   (:class:`_Source`).  When the pool is freshly forked for the run,
+   the canonical corpus is published in a module-level snapshot
+   *before* the fork and payloads carry indices into it — source text
+   never crosses the pickle boundary at all (inline payloads remain
+   the fallback under spawn and for persistent pools whose workers
+   predate the corpus);
 4. fresh results are written back to the cache and merged, and the
    document is assembled in sorted program order.
 
@@ -117,6 +118,34 @@ class _Task:
     analysis: str
 
 
+class _Source:
+    """A canonical source text shared by every cell of its program.
+
+    ``parsed`` (kind -> subject) is the worker parse memo; it holds
+    successful parses only.  One ``pickle.dumps`` sends a shared object
+    once, so a worker gets one ``_Source`` per program per chunk (an
+    in-process run, one per :func:`_execute` call).  ``__reduce__``
+    sends the text, or its :data:`_SHARED_SOURCES` index, never a parse.
+    """
+
+    __slots__ = ("text", "index", "parsed")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.index: Optional[int] = None
+        self.parsed: Dict[str, Subject] = {}
+
+    def __reduce__(self):
+        if self.index is None:
+            return _Source, (self.text,)
+        return _shared_source, (self.index,)
+
+
+def _shared_source(index: int) -> _Source:
+    """Unpickle a fork-shared source from the inherited snapshot."""
+    return _Source(_SHARED_SOURCES[index])
+
+
 def _subject_from_source(source: str, kind: str) -> Subject:
     return parse_program(source) if kind == "program" else parse_statement(source)
 
@@ -133,7 +162,7 @@ def _error_record(exc: BaseException) -> dict:
     }
 
 
-def _compute(payload: Tuple[object, str, str, dict]) -> dict:
+def _compute(payload: Tuple[_Source, str, str, dict]) -> dict:
     """Worker entry point: run one analysis on one program.
 
     Top-level (picklable) and exception-safe: analysis failures become
@@ -141,21 +170,19 @@ def _compute(payload: Tuple[object, str, str, dict]) -> dict:
     pool — a batch over an arbitrary corpus must report per-program
     failures, not die on the first odd program.  Returns an envelope
     ``{"result": ..., "seconds": ...}``; the wall time is measured in
-    the worker so it covers exactly the analysis, not queueing.
-
-    The first payload element is either the canonical source text
-    (inline payloads) or an ``int`` index into the fork-inherited
-    :data:`_SHARED_SOURCES` snapshot (fork-shared payloads).
+    the worker so it covers the analysis (and any parse), not queueing.
     """
-    source, kind, analysis, config = payload
-    if isinstance(source, int):
-        source = _SHARED_SOURCES[source]
+    shared, kind, analysis, config = payload
+    source = shared.text
     spec = ANALYSES[analysis]
     if _INJECT_FAULT is not None:
         _INJECT_FAULT((source, kind, analysis, config))
     started = time.perf_counter()
     try:
-        subject = _subject_from_source(source, kind)
+        subject = shared.parsed.get(kind)
+        if subject is None:
+            subject = _subject_from_source(source, kind)
+            shared.parsed[kind] = subject
         result = spec.run(subject, config)
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         result = _error_record(exc)
@@ -834,45 +861,35 @@ def _execute(
 
     A run-owned pool under the fork start method shares the corpus by
     inheritance: the canonical sources are published in
-    :data:`_SHARED_SOURCES` before the workers fork, and payloads
-    carry indices into the snapshot.  A caller-owned (persistent)
-    pool, a spawn context, or a racing concurrent run falls back to
-    inlining the source text — workers that did not fork from this
-    snapshot cannot see it.
+    :data:`_SHARED_SOURCES` before the workers fork, and each
+    :class:`_Source` pickles as its index into the snapshot.  A
+    caller-owned (persistent) pool, a spawn context, or a racing
+    concurrent run falls back to inlining the source text — workers
+    that did not fork from this snapshot cannot see it.
     """
     global _SHARED_SOURCES
 
-    def _inline():
-        return [
-            (t.source, t.kind, t.analysis, dict(config)) for t in pending
-        ]
+    sources = {t.source: _Source(t.source) for t in pending}
+    payloads = [
+        (sources[t.source], t.kind, t.analysis, dict(config)) for t in pending
+    ]
 
     if pool is not None:
         if not pending:
             return []
-        return pool.run(pending, _inline(), observer, chunk_size=chunk_size)
+        return pool.run(pending, payloads, observer, chunk_size=chunk_size)
     if jobs <= 1 or len(pending) <= 1:
-        return [_compute(payload) for payload in _inline()]
+        return [_compute(payload) for payload in payloads]
     own = WorkerPool(jobs)
     shared = own.start_method == "fork" and _SHARED_LOCK.acquire(
         blocking=False
     )
     try:
         if shared:
-            table: List[str] = []
-            index_of: Dict[str, int] = {}
-            for task in pending:
-                if task.source not in index_of:
-                    index_of[task.source] = len(table)
-                    table.append(task.source)
-            _SHARED_SOURCES = table
-            observer.event("corpus_shared", programs=len(table))
-            payloads = [
-                (index_of[t.source], t.kind, t.analysis, dict(config))
-                for t in pending
-            ]
-        else:
-            payloads = _inline()
+            _SHARED_SOURCES = list(sources)
+            for index, source in enumerate(sources.values()):
+                source.index = index
+            observer.event("corpus_shared", programs=len(sources))
         return own.run(pending, payloads, observer, chunk_size=chunk_size)
     finally:
         own.close()

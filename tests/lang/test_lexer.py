@@ -59,15 +59,49 @@ def test_eof_token_present():
     assert toks[0].kind == "eof"
 
 
-def test_illegal_character():
+def _lex_error(source):
     with pytest.raises(LexError) as exc:
-        tokenize("x @ y")
-    assert exc.value.line == 1
+        tokenize(source)
+    return str(exc.value), exc.value.line, exc.value.column
+
+
+def test_illegal_character():
+    assert _lex_error("x @ y") == ("1:3: illegal character '@'", 1, 3)
+    assert _lex_error("x :=\n  y\xa0") == ("2:4: illegal character '\\xa0'", 2, 4)
 
 
 def test_identifier_cannot_start_with_digit():
-    with pytest.raises(LexError):
-        tokenize("1abc")
+    assert _lex_error("x := 12ab") == (
+        "1:6: identifier may not start with a digit: '12a'...",
+        1,
+        6,
+    )
+
+
+def test_non_decimal_digits_are_illegal():
+    # str.isdigit() holds for '²', but int() cannot read it
+    assert _lex_error("x := 1²") == ("1:7: illegal character '²'", 1, 7)
+    assert _lex_error("²") == ("1:1: illegal character '²'", 1, 1)
+    # decimal digits of any script are numbers
+    assert kinds("٣") == [("int", "٣")]
+
+
+def test_eof_position_after_trailing_comment():
+    toks = tokenize("x\n  -- note")
+    assert (toks[-1].kind, toks[-1].line, toks[-1].column) == ("eof", 2, 10)
+
+
+def test_crlf_columns():
+    # a \r is one column; only \n starts a line
+    toks = tokenize("x :=\r\n  5 \r-- c\r\n")
+    assert [(t.value, t.line, t.column) for t in toks] == [
+        ("x", 1, 1),
+        (":=", 1, 3),
+        ("5", 2, 3),
+        ("", 3, 1),
+    ]
+    toks = tokenize("a\r\tb")
+    assert [(t.value, t.column) for t in toks] == [("a", 1), ("b", 4), ("", 5)]
 
 
 def test_underscored_identifiers():

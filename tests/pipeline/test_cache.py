@@ -398,3 +398,109 @@ def test_memory_only_tier_still_counts_writes(tmp_path):
     disabled = TieredCache(None, MemoryLRU(0))
     disabled.put("cd" + "0" * 62, "cert", {"certified": True})
     assert disabled.stats.writes == 0
+
+
+class _GatedDisk(ResultCache):
+    """A disk tier whose reads and writes wait for each other."""
+
+    def __init__(self, root, barrier):
+        super().__init__(root)
+        self.barrier = barrier
+
+    def lookup(self, key):
+        self.barrier.wait()
+        return super().lookup(key)
+
+    def put(self, key, analysis, result):
+        self.barrier.wait()
+        return super().put(key, analysis, result)
+
+
+def _in_two_threads(call, keys):
+    import threading
+
+    threads = [threading.Thread(target=call, args=(key,)) for key in keys]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_concurrent_tiered_puts_count_each_write_once(tmp_path):
+    """Regression: ``put`` added the *change* in the shared disk tier's
+    write counter, so two puts inside the disk tier at the same time
+    each counted the other's write too (serve-cold: writes > misses)."""
+    import threading
+
+    from repro.pipeline import MemoryLRU, TieredCache
+
+    tier = TieredCache(
+        _GatedDisk(str(tmp_path / "c"), threading.Barrier(2, timeout=30)),
+        MemoryLRU(8),
+    )
+    _in_two_threads(
+        lambda key: tier.put(key, "cert", {"certified": True}),
+        ["ab" + "0" * 62, "cd" + "0" * 62],
+    )
+    assert tier.stats.writes == 2
+    assert tier.disk.stats.writes == 2
+
+
+def test_concurrent_tiered_gets_count_each_corruption_once(tmp_path):
+    """The read-path twin: each get counts only its own corrupt entry."""
+    import threading
+
+    from repro.pipeline import MemoryLRU, TieredCache
+
+    disk = _GatedDisk(str(tmp_path / "c"), threading.Barrier(2, timeout=30))
+    tier = TieredCache(disk, MemoryLRU(8))
+    keys = ["ab" + "0" * 62, "cd" + "0" * 62]
+    for key in keys:
+        _garble(disk, key)
+    _in_two_threads(tier.get, keys)
+    assert (tier.stats.corrupt, tier.stats.misses) == (2, 2)
+
+
+def test_result_cache_reports_its_own_outcome(tmp_path):
+    cache = ResultCache(str(tmp_path / "c"))
+    key = "ab" + "0" * 62
+    assert cache.lookup(key) == (None, False)
+    assert cache.put(key, "cert", {"certified": True}) is True
+    assert cache.lookup(key) == ({"certified": True}, False)
+    _garble(cache, key)
+    assert cache.lookup(key) == (None, True)
+    assert cache.put(key, "cert", {"bad": object()}) is False
+
+
+def test_tiered_counters_stay_exact_under_many_threads(tmp_path):
+    """Stress: more threads than cores and a tiny switch interval over
+    one disk-backed tier; every put lands once and every get is
+    exactly one hit or miss, however the threads interleave."""
+    import sys
+    import threading
+
+    from repro.pipeline import MemoryLRU, TieredCache
+
+    tier = TieredCache(ResultCache(str(tmp_path / "c")), MemoryLRU(16))
+    threads, rounds = 8, 60
+
+    def work(n):
+        for i in range(rounds):
+            key = f"{n:02d}{i:062d}"
+            tier.put(key, "cert", {"n": i})
+            tier.get(key)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(n,)) for n in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(worker.is_alive() for worker in workers)
+    assert tier.stats.writes == threads * rounds
+    assert tier.stats.hits + tier.stats.misses == threads * rounds

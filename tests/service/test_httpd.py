@@ -89,6 +89,24 @@ def test_http_roundtrip_health_metrics_and_clean_exit():
         assert proc.wait(timeout=30) == 0
 
 
+def test_non_decimal_digit_is_a_lex_error_400():
+    """Regression: ``1²`` reached the parser's ``int()`` and the 400
+    said ``invalid literal for int()``; it is an illegal character."""
+    proc, base = start_server("--jobs", "1")
+    try:
+        status, body = post_analyze(base, {
+            "program": "var x : integer;\nx := 1²", "name": "sup.rl",
+            "analyses": ["cert"],
+        })
+        assert status == 400
+        assert json.loads(body)["error"] == (
+            "sup.rl: parse error: 2:7: illegal character '²'"
+        )
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+
+
 def test_content_length_abuse_is_rejected_before_reading():
     """Regression: the handler used to trust ``Content-Length`` and
     block on ``rfile.read(length)`` for an arbitrarily large declared

@@ -153,3 +153,18 @@ def test_four_level_scheme(tmp_path, capsys):
          "--bind", "a=confidential", "--bind", "b=secret"]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["certify", "--bind", "x=low"],
+    ["batch", "--no-cache", "--analyses", "cert"],
+])
+def test_non_decimal_digit_is_a_clean_lex_error(tmp_path, capsys, command):
+    """Regression: ``str.isdigit()`` lexed ``1²`` as a number, and the
+    parser's ``int()`` then escaped as a bare ``ValueError``."""
+    path = tmp_path / "sup.rl"
+    path.write_text("var x : integer;\nx := 1²\n")
+    code = main([command[0], str(path), *command[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: 2:7: illegal character '²'\n"
