@@ -101,17 +101,22 @@ def _parse_class(text: str, scheme) -> object:
     )
 
 
+def _load_bindings(path: str) -> Dict[str, str]:
+    """A ``--bindings`` file: one JSON object, variable -> class name."""
+    import json
+
+    with open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    if not isinstance(data, dict):
+        raise SystemExit("error: the bindings file must hold a JSON object")
+    return {str(k): str(v) for k, v in data.items()}
+
+
 def _binding(args, program: Program) -> StaticBinding:
     scheme = _scheme(args)
     classes: Dict[str, str] = {}
     if getattr(args, "bindings", None):
-        import json
-
-        with open(args.bindings, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict):
-            raise SystemExit("error: the bindings file must hold a JSON object")
-        classes.update({str(k): str(v) for k, v in data.items()})
+        classes.update(_load_bindings(args.bindings))
     classes.update(_parse_pairs(args.bind, "--bind"))
     default = getattr(args, "default", None)
     binding = StaticBinding(scheme, classes, default=default)
@@ -469,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-fastpath",
         action="store_true",
         help="disable the fused certifier fast path (run the reference "
-        "cert/denning/lint analyzers directly)",
+        "cert/denning analyzers directly)",
     )
     sub.add_argument(
         "--metrics",
@@ -809,11 +814,7 @@ def _cmd_lint(args) -> int:
         scheme = _scheme(args)
         classes: Dict[str, str] = {}
         if args.bindings:
-            with open(args.bindings, "r", encoding="utf-8") as handle:
-                data = json_mod.load(handle)
-            if not isinstance(data, dict):
-                raise SystemExit("error: the bindings file must hold a JSON object")
-            classes.update({str(k): str(v) for k, v in data.items()})
+            classes.update(_load_bindings(args.bindings))
         classes.update(_parse_pairs(args.bind, "--bind"))
         binding = StaticBinding(scheme, classes, default=args.default)
     elif args.scheme_file or args.scheme != "two-level":
@@ -1257,10 +1258,7 @@ def _dispatch(args) -> int:
         scheme = _scheme(args)
         fixed = {}
         if getattr(args, "bindings", None):
-            import json
-
-            with open(args.bindings, "r", encoding="utf-8") as handle:
-                fixed.update(json.load(handle))
+            fixed.update(_load_bindings(args.bindings))
         fixed.update(_parse_pairs(args.bind, "--bind"))
         result = infer_binding(program, scheme, fixed)
         print(result.explain())

@@ -1,11 +1,12 @@
 """The fused single-sweep certifier (the section 6 complexity claim, made real).
 
-The reference analyzers (:mod:`repro.core.cfm`, :mod:`repro.core.denning`,
-:mod:`repro.staticlint`) re-walk the dataclass AST once per analysis and
-build a :class:`~repro.core.cfm.Check` record — detail string included —
-for every side condition.  That is the honest paper mechanism, and it is
+The reference certifiers (:mod:`repro.core.cfm`, :mod:`repro.core.denning`)
+re-walk the dataclass AST once per analysis and build a
+:class:`~repro.core.cfm.Check` record — detail string included — for
+every side condition.  That is the honest paper mechanism, and it is
 the hot path every ``repro batch``, ``repro serve`` and ``repro fuzz``
-cycle pays.  This package is the fast path behind the analysis registry:
+cycle pays.  This package is the fast path behind the registry's
+``cert`` and ``denning`` analyses:
 
 * :mod:`repro.fastpath.interning` — lattice elements become small ints
   with O(1) join/meet/leq (rank comparisons for chains, bit operations
@@ -15,8 +16,7 @@ cycle pays.  This package is the fast path behind the analysis registry:
   share one node id across an entire corpus;
 * :mod:`repro.fastpath.engine` — ``mod``/``flow``/``cert`` and the
   Denning baseline are evaluated in one fused linear sweep over the IR,
-  memoized per subtree, and the RPL lint passes ride the same memo at
-  whole-program granularity.
+  memoized per subtree.
 
 The contract is byte-identity: for every subject the fast path supports,
 its result dicts equal the reference implementation's exactly (the
@@ -33,8 +33,6 @@ from repro.fastpath.engine import (
     clear_caches,
     fused_cert,
     fused_denning,
-    lint_memo_get,
-    lint_memo_put,
 )
 from repro.fastpath.interning import (
     ChainInterned,
@@ -60,7 +58,5 @@ __all__ = [
     "fused_cert",
     "fused_denning",
     "intern_lattice",
-    "lint_memo_get",
-    "lint_memo_put",
     "lower",
 ]

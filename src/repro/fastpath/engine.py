@@ -1,4 +1,4 @@
-"""The fused single-sweep evaluation of cert + denning, and the lint memo.
+"""The fused single-sweep evaluation of cert + denning.
 
 One linear pass over the hash-consed IR computes, per node id, an
 8-slot record covering *both* certifiers at once:
@@ -26,27 +26,19 @@ context; the policy is the registry's config-derived binding (names in
 ``high`` bind to the scheme top, everything else to bottom), so a
 variable's class is a set-membership test.
 
-The RPL lint passes are *not* re-implemented here: their diagnostics
-carry source spans, which hash-consing deliberately erases.  Instead
-the reference lint result is memoized whole-program, keyed by the IR
-root plus a location/declaration signature, so repeated analysis of
-the same source text (fuzz replays, warm service caches, repeated
-batches) skips the engine entirely while staying byte-identical.
-
 Entry points return ``None`` for anything they do not model (procedure
 programs, unknown nodes, unknown schemes); the registry then runs the
 reference implementation.  The fast path may only ever be faster,
 never different — ``tests/fastpath/`` and the ``cert-equiv`` fuzz
 oracle hold it to that.
 
-All shared state (one IR store, per-context record memos, the lint
+All shared state (one IR store, per-context record memos, the root
 memo) sits behind a single re-entrant lock; caps trigger a coordinated
-clear, since records and lint entries dangle once the store resets.
+clear, since records dangle once the store resets.
 """
 
 from __future__ import annotations
 
-import copy
 import threading
 from typing import Dict, FrozenSet, Optional, Tuple
 
@@ -66,7 +58,7 @@ from repro.fastpath.ir import (
     child_nids,
     lower,
 )
-from repro.lang.ast import Program, Stmt, iter_nodes
+from repro.lang.ast import Program, Stmt
 
 #: ``flow(S)`` id for "no global flow" (Definition 4's ``nil``).
 NIL = -1
@@ -75,8 +67,7 @@ NIL = -1
 MAX_IR_ROWS = 250_000
 #: Cap on memoized records summed across all ``(scheme, high)`` contexts.
 MAX_RECORDS = 1_000_000
-#: Cap on memoized whole-program lint results.
-MAX_LINT_ENTRIES = 4_096
+#: Cap on memoized root uid -> nid entries.
 MAX_ROOT_ENTRIES = 65_536
 
 _EMPTY: FrozenSet[str] = frozenset()
@@ -103,7 +94,6 @@ _LOCK = threading.RLock()
 _STORE = NodeStore()
 _SCHEMES_INTERNED: Dict[str, InternedLattice] = {}
 _CONTEXTS: Dict[Tuple[str, Tuple[str, ...]], _Context] = {}
-_LINT_MEMO: Dict[tuple, dict] = {}
 # Root uid -> interned nid.  AST uids come from a process-global counter
 # and are never reused, and nothing in the repo mutates a node after
 # construction (the shrinker and builders rebuild), so a uid hit means
@@ -112,12 +102,11 @@ _ROOT_NIDS: Dict[int, int] = {}
 
 
 def clear_caches() -> None:
-    """Drop the IR store, every record memo, and the lint memo."""
+    """Drop the IR store, every record memo, and the root memo."""
     with _LOCK:
         _STORE.clear()
         _SCHEMES_INTERNED.clear()
         _CONTEXTS.clear()
-        _LINT_MEMO.clear()
         _ROOT_NIDS.clear()
 
 
@@ -127,7 +116,6 @@ def cache_stats() -> Dict[str, int]:
         return {
             "irs": len(_STORE),
             "memo": sum(len(ctx.memo) for ctx in _CONTEXTS.values()),
-            "resolved": len(_LINT_MEMO),
             "schemes": len(_SCHEMES_INTERNED),
         }
 
@@ -142,10 +130,7 @@ def _trim_if_needed() -> None:
         _STORE.clear()
         for ctx in _CONTEXTS.values():
             ctx.memo.clear()
-        _LINT_MEMO.clear()
         _ROOT_NIDS.clear()
-    elif len(_LINT_MEMO) > MAX_LINT_ENTRIES:
-        _LINT_MEMO.clear()
 
 
 def _interned_scheme(name: str) -> Optional[InternedLattice]:
@@ -371,47 +356,3 @@ def fused_denning(subject, config: dict) -> Optional[dict]:
         "violations": sorted(failed),
         "unsupported": unsupported,
     }
-
-
-def _lint_key(subject, config) -> Optional[tuple]:
-    """Whole-program lint memo key, or ``None`` when not memoizable.
-
-    The IR root pins the structure; because hash-consing erases source
-    positions while lint diagnostics report them, the key adds the
-    preorder ``(line, column)`` signature of *every* node plus the
-    declaration list (names, kind, initial value — the deadlock pass
-    reads semaphore initials) and the subject kind.
-    """
-    with _LOCK:
-        lowered = _lowered(subject, config)
-        if lowered is None:
-            return None
-        nid, ctx = lowered
-    is_program = isinstance(subject, Program)
-    decl_sig = (
-        tuple((tuple(d.names), d.kind, d.initial) for d in subject.decls)
-        if is_program
-        else ()
-    )
-    loc_sig = tuple((n.loc.line, n.loc.column) for n in iter_nodes(subject))
-    return (nid, is_program, decl_sig, loc_sig, ctx.base.base.name, ctx.high)
-
-
-def lint_memo_get(subject, config: dict) -> Optional[dict]:
-    """A deep copy of the memoized lint result dict, if present."""
-    key = _lint_key(subject, config)
-    if key is None:
-        return None
-    with _LOCK:
-        cached = _LINT_MEMO.get(key)
-        return copy.deepcopy(cached) if cached is not None else None
-
-
-def lint_memo_put(subject, config: dict, result: dict) -> None:
-    """Memoize a freshly computed lint result dict (stored as a copy)."""
-    key = _lint_key(subject, config)
-    if key is None:
-        return
-    with _LOCK:
-        _trim_if_needed()
-        _LINT_MEMO[key] = copy.deepcopy(result)

@@ -32,7 +32,7 @@ from repro.fuzz.shrinker import shrink
 from repro.lang.ast import Program
 from repro.lang.pretty import pretty
 from repro.observe.metrics import MetricsAggregator
-from repro.pipeline.analyses import DEFAULT_CONFIG
+from repro.pipeline.analyses import DEFAULT_CONFIG, check_config
 from repro.pipeline.runner import WorkerPool, _Task
 
 #: The campaign's analysis-config defaults.  Budgets sit well below
@@ -252,14 +252,9 @@ def run_fuzz(
             )
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
+    check_config(config or {})
     merged = dict(FUZZ_CONFIG)
-    for key, value in (config or {}).items():
-        if key not in FUZZ_CONFIG:
-            raise ValueError(
-                f"unknown config key {key!r}; "
-                f"available: {sorted(FUZZ_CONFIG)}"
-            )
-        merged[key] = value
+    merged.update(config or {})
     if deadline is not None:
         merged["deadline"] = float(deadline)
     merged["high"] = tuple(sorted(merged["high"]))

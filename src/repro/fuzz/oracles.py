@@ -16,8 +16,8 @@ The catalog (paper sections in :attr:`OracleSpec.paper`):
 ``cert-equiv``
     §6's linear-pass claim, made safe: the fused single-sweep
     certifier (:mod:`repro.fastpath`) must produce *dict-identical*
-    cert, denning (both concurrency modes), and memoized lint results
-    to the reference analyzers on every generated program.
+    cert and denning (both concurrency modes) results to the
+    reference analyzers on every generated program.
 ``cert-proof``
     Theorems 1–2: ``certify(S).certified`` iff a flow proof can be
     generated, checks out, is completely invariant, and re-certifies
@@ -151,17 +151,8 @@ def _value_blowup_risk(subject: Subject) -> bool:
 
 
 def _check_cert_equiv(subject: Subject, config: dict):
-    from repro.fastpath import (
-        fused_cert,
-        fused_denning,
-        lint_memo_get,
-        lint_memo_put,
-    )
-    from repro.pipeline.analyses import (
-        _reference_cert,
-        _reference_denning,
-        _reference_lint,
-    )
+    from repro.fastpath import fused_cert, fused_denning
+    from repro.pipeline.analyses import _reference_cert, _reference_denning
 
     if not config.get("fastpath", True):
         return OracleSkip("fast path disabled by config")
@@ -192,26 +183,6 @@ def _check_cert_equiv(subject: Subject, config: dict):
                 "fused": fast_d,
                 "reference": ref_d,
             }
-
-    # The lint memo: a pre-existing entry must already agree with the
-    # reference, and a fresh put must replay dict-identically (this is
-    # the memo-hit path ``repro batch`` takes on repeated subjects).
-    ref_lint = _reference_lint(subject, config)
-    cached = lint_memo_get(subject, config)
-    if cached is not None and cached != ref_lint:
-        return {
-            "relation": "memoized lint == reference lint",
-            "fused": cached,
-            "reference": ref_lint,
-        }
-    lint_memo_put(subject, config, ref_lint)
-    replayed = lint_memo_get(subject, config)
-    if replayed != ref_lint:
-        return {
-            "relation": "lint memo round-trips dict-identically",
-            "fused": replayed,
-            "reference": ref_lint,
-        }
     return None
 
 

@@ -23,6 +23,7 @@ from repro.pipeline.analyses import (
     DEFAULT_CONFIG,
     AnalysisSpec,
     analysis_names,
+    check_config,
     scheme_names,
 )
 from repro.pipeline.cache import (
@@ -46,6 +47,7 @@ __all__ = [
     "WorkerPool",
     "analysis_names",
     "cache_key",
+    "check_config",
     "run_pipeline",
     "scheme_names",
 ]

@@ -51,7 +51,7 @@ DEFAULT_CONFIG: Dict[str, object] = {
     #: ``docs/observability.md`` for the degradation contract.
     "deadline": None,
     #: Use the fused single-sweep certifier (``repro.fastpath``) for
-    #: ``cert``/``denning``/``lint``.  Byte-identical to the reference
+    #: ``cert``/``denning``.  Byte-identical to the reference
     #: implementation by contract, so deliberately **not** part of any
     #: analysis's ``config_keys`` — toggling it must not re-key caches.
     "fastpath": True,
@@ -69,6 +69,59 @@ Subject = Union[Program, Stmt]
 def scheme_names() -> Tuple[str, ...]:
     """The schemes the pipeline configuration accepts."""
     return tuple(sorted(_SCHEMES))
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_bool(value: object) -> bool:
+    return isinstance(value, bool)
+
+
+#: What each config value must be: a test and how to say it.
+_CONFIG_RULES: Dict[str, Tuple[Callable[[object], bool], str]] = {
+    "scheme": (
+        lambda v: v in scheme_names(),
+        "one of " + ", ".join(scheme_names()),
+    ),
+    "high": (
+        lambda v: isinstance(v, (list, tuple))
+        and all(isinstance(name, str) for name in v),
+        "a list of variable names",
+    ),
+    "on_concurrency": (
+        lambda v: v in ("reject", "ignore"),
+        "'reject' or 'ignore'",
+    ),
+    "max_states": (_is_int, "an integer"),
+    "max_depth": (_is_int, "an integer"),
+    "por": (_is_bool, "a boolean"),
+    "deadline": (
+        lambda v: v is None or _is_int(v) or isinstance(v, float),
+        "a number of seconds or null",
+    ),
+    "fastpath": (_is_bool, "a boolean"),
+}
+
+
+def check_config(config: Dict[str, object]) -> None:
+    """Raise ``ValueError`` for an unknown key or an ill-typed value.
+
+    Values are checked, not coerced: a string ``high`` would otherwise
+    be split into one-letter names and silently change the policy.
+    """
+    for key, value in config.items():
+        if key not in DEFAULT_CONFIG:
+            raise ValueError(
+                f"unknown config key {key!r}; "
+                f"available: {', '.join(sorted(DEFAULT_CONFIG))}"
+            )
+        admissible, expected = _CONFIG_RULES[key]
+        if not admissible(value):
+            raise ValueError(
+                f"config {key!r} must be {expected}, got {value!r}"
+            )
 
 
 def _binding(subject: Subject, config: dict):
@@ -169,7 +222,7 @@ def _run_prove(subject: Subject, config: dict) -> dict:
     }
 
 
-def _reference_lint(subject: Subject, config: dict) -> dict:
+def _run_lint(subject: Subject, config: dict) -> dict:
     from repro.staticlint import run_lint
 
     result = run_lint(subject, binding=_binding(subject, config))
@@ -179,25 +232,6 @@ def _reference_lint(subject: Subject, config: dict) -> dict:
         # filter_diagnostics already sorts by Diagnostic.sort_key.
         "diagnostics": [d.to_dict() for d in result.diagnostics],
     }
-
-
-def _run_lint(subject: Subject, config: dict) -> dict:
-    # Lint diagnostics carry source spans, so the fast path memoizes the
-    # reference result whole-program (keyed by structure + locations)
-    # rather than re-deriving it: one dict assembly, zero divergence.
-    use_fast = _fastpath_enabled(config)
-    if use_fast:
-        from repro.fastpath import lint_memo_get
-
-        cached = lint_memo_get(subject, config)
-        if cached is not None:
-            return cached
-    result = _reference_lint(subject, config)
-    if use_fast:
-        from repro.fastpath import lint_memo_put
-
-        lint_memo_put(subject, config, result)
-    return result
 
 
 def _run_explore(subject: Subject, config: dict) -> dict:

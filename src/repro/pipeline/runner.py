@@ -16,13 +16,8 @@ document.  The execution strategy:
    dispatch and pickling are amortized instead of dominating tiny
    analyses (``chunk_size``; auto-sized from the pending-cell count
    and ``jobs``).  Workers re-parse the source, which costs more than
-   a cert or Denning pass, so they parse each program once per chunk
-   (:class:`_Source`).  When the pool is freshly forked for the run,
-   the canonical corpus is published in a module-level snapshot
-   *before* the fork and payloads carry indices into it — source text
-   never crosses the pickle boundary at all (inline payloads remain
-   the fallback under spawn and for persistent pools whose workers
-   predate the corpus);
+   a cert or Denning pass, so each chunk carries each of its programs'
+   text once and the worker parses it once (:class:`_Source`);
 4. fresh results are written back to the cache and merged, and the
    document is assembled in sorted program order.
 
@@ -70,7 +65,7 @@ from repro.lang.ast import Program, Stmt
 from repro.lang.parser import parse_program, parse_statement
 from repro.lang.pretty import pretty
 from repro.observe import MetricsAggregator, TraceEmitter
-from repro.pipeline.analyses import ANALYSES, DEFAULT_CONFIG
+from repro.pipeline.analyses import ANALYSES, DEFAULT_CONFIG, check_config
 from repro.pipeline.cache import CacheStats, ResultCache, cache_key
 
 Subject = Union[Program, Stmt]
@@ -92,20 +87,6 @@ _INJECT_FAULT = None
 #: enough that one slow chunk cannot serialize the tail of the run.
 _CHUNKS_PER_WORKER = 4
 
-#: The fork-shared corpus snapshot.  ``_execute`` publishes the
-#: canonical source texts here *before* a run-owned pool forks its
-#: workers; payloads then carry indices into this table instead of the
-#: text itself, so the dominant pickling cost of tiny analyses
-#: disappears.  Only ever read by workers forked while the table is
-#: set — persistent pools (whose workers predate any given corpus) and
-#: spawn contexts (no memory inheritance) use inline payloads instead.
-_SHARED_SOURCES: Optional[List[str]] = None
-
-#: Serializes fork-shared runs within one parent process: the snapshot
-#: is a single module slot, so a second concurrent run falls back to
-#: inline payloads instead of clobbering the first run's table.
-_SHARED_LOCK = threading.Lock()
-
 
 @dataclass(frozen=True)
 class _Task:
@@ -125,25 +106,17 @@ class _Source:
     successful parses only.  One ``pickle.dumps`` sends a shared object
     once, so a worker gets one ``_Source`` per program per chunk (an
     in-process run, one per :func:`_execute` call).  ``__reduce__``
-    sends the text, or its :data:`_SHARED_SOURCES` index, never a parse.
+    sends the text only, never a parse.
     """
 
-    __slots__ = ("text", "index", "parsed")
+    __slots__ = ("text", "parsed")
 
     def __init__(self, text: str):
         self.text = text
-        self.index: Optional[int] = None
         self.parsed: Dict[str, Subject] = {}
 
     def __reduce__(self):
-        if self.index is None:
-            return _Source, (self.text,)
-        return _shared_source, (self.index,)
-
-
-def _shared_source(index: int) -> _Source:
-    """Unpickle a fork-shared source from the inherited snapshot."""
-    return _Source(_SHARED_SOURCES[index])
+        return _Source, (self.text,)
 
 
 def _subject_from_source(source: str, kind: str) -> Subject:
@@ -355,8 +328,9 @@ def run_pipeline(
     unique names.  ``jobs > 1`` fans cache misses out over a process
     pool; ``cache_dir`` (with ``use_cache=True``) enables the on-disk
     content-addressed cache.  ``config`` overlays
-    :data:`repro.pipeline.analyses.DEFAULT_CONFIG`; unknown keys are
-    rejected so typos cannot silently produce wrong cache keys.
+    :data:`repro.pipeline.analyses.DEFAULT_CONFIG`; unknown keys and
+    ill-typed values are rejected (:func:`check_config`) so typos cannot
+    silently produce wrong cache keys or a different policy.
 
     ``deadline`` (seconds) is the per-analysis wall-clock budget: an
     analysis that exhausts it returns a partial result flagged
@@ -394,14 +368,9 @@ def run_pipeline(
             )
     if not analyses:
         raise ValueError("no analyses requested")
+    check_config(config or {})
     merged = dict(DEFAULT_CONFIG)
-    for key, value in (config or {}).items():
-        if key not in DEFAULT_CONFIG:
-            raise ValueError(
-                f"unknown config key {key!r}; "
-                f"available: {sorted(DEFAULT_CONFIG)}"
-            )
-        merged[key] = value
+    merged.update(config or {})
     if deadline is not None:
         merged["deadline"] = float(deadline)
     # Normalize sequence-valued knobs so cache keys don't depend on
@@ -604,11 +573,6 @@ class WorkerPool:
         self._lock = threading.RLock()
         self._executor = None
         self._closed = False
-
-    @property
-    def start_method(self) -> str:
-        """The multiprocessing start method workers are created with."""
-        return self._ctx.get_start_method()
 
     def _handle(self, observer: MetricsAggregator):
         """The live executor, creating (and announcing) one if needed."""
@@ -859,16 +823,11 @@ def _execute(
     or inherited from a sibling task's partially-spent budget — one
     slow program must not shorten the next program's grant.
 
-    A run-owned pool under the fork start method shares the corpus by
-    inheritance: the canonical sources are published in
-    :data:`_SHARED_SOURCES` before the workers fork, and each
-    :class:`_Source` pickles as its index into the snapshot.  A
-    caller-owned (persistent) pool, a spawn context, or a racing
-    concurrent run falls back to inlining the source text — workers
-    that did not fork from this snapshot cannot see it.
+    Every cell of one program shares one :class:`_Source`, so a chunk
+    pickles each of its programs' text once.  A caller-owned pool and
+    a run-owned one get the same payloads; the only difference is that
+    a run-owned pool is closed when the run ends.
     """
-    global _SHARED_SOURCES
-
     sources = {t.source: _Source(t.source) for t in pending}
     payloads = [
         (sources[t.source], t.kind, t.analysis, dict(config)) for t in pending
@@ -881,18 +840,7 @@ def _execute(
     if jobs <= 1 or len(pending) <= 1:
         return [_compute(payload) for payload in payloads]
     own = WorkerPool(jobs)
-    shared = own.start_method == "fork" and _SHARED_LOCK.acquire(
-        blocking=False
-    )
     try:
-        if shared:
-            _SHARED_SOURCES = list(sources)
-            for index, source in enumerate(sources.values()):
-                source.index = index
-            observer.event("corpus_shared", programs=len(sources))
         return own.run(pending, payloads, observer, chunk_size=chunk_size)
     finally:
         own.close()
-        if shared:
-            _SHARED_SOURCES = None
-            _SHARED_LOCK.release()

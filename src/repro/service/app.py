@@ -50,11 +50,11 @@ from repro.lang.validate import validate_program
 from repro.observe import MetricsAggregator, TokenBucket
 from repro.pipeline import (
     ANALYSES,
-    DEFAULT_CONFIG,
     MemoryLRU,
     ResultCache,
     TieredCache,
     WorkerPool,
+    check_config,
     run_pipeline,
 )
 
@@ -455,12 +455,10 @@ class AnalysisService:
             config["deadline"] = self.default_deadline
         for key, value in self.default_config.items():
             config.setdefault(key, value)
-        for key in config:
-            if key not in DEFAULT_CONFIG:
-                raise ServiceError(
-                    f"unknown config key {key!r}; "
-                    f"available: {', '.join(sorted(DEFAULT_CONFIG))}"
-                )
+        try:
+            check_config(config)
+        except ValueError as exc:
+            raise ServiceError(str(exc))
 
         if "programs" in request:
             if "program" in request:

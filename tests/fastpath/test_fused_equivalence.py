@@ -14,8 +14,6 @@ from repro.fastpath import (
     clear_caches,
     fused_cert,
     fused_denning,
-    lint_memo_get,
-    lint_memo_put,
 )
 from repro.lang.builder import assign
 from repro.lang.parser import parse_program, parse_statement
@@ -23,7 +21,6 @@ from repro.pipeline.analyses import (
     DEFAULT_CONFIG,
     _reference_cert,
     _reference_denning,
-    _reference_lint,
 )
 from repro.workloads.generators import random_program
 from repro.workloads.suites import corpus, corpus_names
@@ -95,7 +92,6 @@ def test_declines_procedure_programs():
     assert subject.procs
     assert fused_cert(subject, dict(DEFAULT_CONFIG)) is None
     assert fused_denning(subject, dict(DEFAULT_CONFIG)) is None
-    assert lint_memo_get(subject, dict(DEFAULT_CONFIG)) is None
 
 
 def test_declines_unknown_scheme_and_bad_mode():
@@ -140,40 +136,11 @@ def test_registry_respects_the_fastpath_flag():
     assert cache_stats()["irs"] > 0  # the flagged-on run used the engine
 
 
-def test_lint_memo_round_trip_matches_reference():
-    subject = parse_program(
-        "var x, h : integer; s : semaphore initially(1);"
-        "begin wait(s); x := h; signal(s) end"
-    )
-    config = dict(DEFAULT_CONFIG)
-    assert lint_memo_get(subject, config) is None  # cold miss
-    reference = _reference_lint(subject, config)
-    lint_memo_put(subject, config, reference)
-    hit = lint_memo_get(subject, config)
-    assert hit == reference
-    assert hit is not reference  # a defensive copy, not the stored object
-    hit["findings"] = -1  # mutating the copy must not poison the memo
-    assert lint_memo_get(subject, config) == reference
-
-
-def test_lint_memo_distinguishes_layouts_of_one_structure():
-    compact = parse_program("var x, h : integer; begin x := h end")
-    spread = parse_program("var x, h : integer;\nbegin\n\n  x := h\nend")
-    config = dict(DEFAULT_CONFIG)
-    lint_memo_put(compact, config, _reference_lint(compact, config))
-    # same structure, different spans: the memo must not cross-serve
-    cross = lint_memo_get(spread, config)
-    assert cross is None or cross == _reference_lint(spread, config)
-    assert lint_memo_get(spread, config) != lint_memo_get(compact, config) or (
-        _reference_lint(spread, config) == _reference_lint(compact, config)
-    )
-
-
 def test_clear_caches_resets_all_stats():
     fused_cert(parse_statement("x := h"), dict(DEFAULT_CONFIG))
     assert cache_stats()["irs"] > 0
     clear_caches()
-    assert cache_stats() == {"irs": 0, "memo": 0, "resolved": 0, "schemes": 0}
+    assert cache_stats() == {"irs": 0, "memo": 0, "schemes": 0}
 
 
 def test_builder_and_parser_subjects_share_records():

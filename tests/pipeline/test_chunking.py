@@ -304,48 +304,46 @@ def test_never_submitted_cells_are_not_charged_wall_clock():
     assert _SPY_DEADLINES["src1"] == pytest.approx(30.0)
 
 
-# -- fork-shared corpus ------------------------------------------------------
+# -- run-owned and caller-owned pools ---------------------------------------
 
 
-def test_run_owned_pool_shares_the_corpus_by_fork():
-    """A run-owned fork pool publishes the corpus once and ships
-    indices; the corpus_shared event marks the mode, and the pickled
-    payload traffic shrinks against inline dispatch."""
-    import multiprocessing
+def test_concurrent_run_owned_pools_match_serial():
+    """Two runs in one process, each forking its own pool at the same
+    time, must not see each other's corpus."""
+    import threading
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("fork start method unavailable")
+    from repro.workloads.suites import corpus
 
-    from repro.observe import MetricsAggregator, RecordingEmitter
+    names = ("litmus", "paper")
+    serial = {
+        name: run_pipeline(corpus(name), jobs=1, use_cache=False).to_json()
+        for name in names
+    }
+    start = threading.Barrier(len(names))
+    parallel = {}
 
-    sink = RecordingEmitter()
-    observer = MetricsAggregator(sink=sink)
-    result = run_pipeline(
-        litmus_corpus(),
-        analyses=("cert", "lint"),
-        jobs=2,
-        use_cache=False,
-        observer=observer,
-        chunk_size=1000,
-    )
-    assert not result.errors()
-    shared = [
-        r for r in sink.records if r.get("name") == "corpus_shared"
-    ]
-    assert len(shared) == 1
-    # the snapshot dedups by canonical source, so at most one slot per
-    # program and at least one overall
-    assert 1 <= shared[0]["programs"] <= len(litmus_corpus())
+    def run(name):
+        start.wait(timeout=60)
+        parallel[name] = run_pipeline(
+            corpus(name), jobs=2, use_cache=False
+        ).to_json()
+
+    threads = [threading.Thread(target=run, args=(name,)) for name in names]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+        assert not thread.is_alive()
+    assert parallel == serial
 
 
-def test_persistent_pool_falls_back_to_inline_payloads():
-    """A caller-owned pool's workers predate the corpus; they must get
-    inline payloads (and still produce the identical document)."""
-    from repro.observe import MetricsAggregator, RecordingEmitter
+def test_persistent_pool_document_matches_serial():
+    """A caller-owned pool's workers predate the corpus; they still
+    produce the identical document."""
+    from repro.observe import MetricsAggregator
     from repro.pipeline.runner import WorkerPool
 
-    sink = RecordingEmitter()
-    observer = MetricsAggregator(sink=sink)
+    observer = MetricsAggregator()
     pool = WorkerPool(2)
     try:
         pool.warm(observer)
@@ -360,9 +358,6 @@ def test_persistent_pool_falls_back_to_inline_payloads():
     finally:
         pool.close()
     assert not result.errors()
-    assert not [
-        r for r in sink.records if r.get("name") == "corpus_shared"
-    ]
     serial = run_pipeline(
         litmus_corpus(), analyses=("cert",), jobs=1, use_cache=False
     )

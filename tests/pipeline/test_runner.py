@@ -61,6 +61,33 @@ def test_unknown_analysis_and_config_are_rejected():
         run_pipeline(corpus + corpus, analyses=("cert",))
 
 
+@pytest.mark.parametrize("config", [
+    {"high": "h2"},
+    {"high": [1]},
+    {"scheme": "bogus"},
+    {"on_concurrency": "maybe"},
+    {"max_states": "abc"},
+    {"max_depth": True},
+    {"por": "no"},
+    {"deadline": "soon"},
+    {"deadline": False},
+    {"fastpath": 1},
+])
+def test_ill_typed_config_values_are_rejected(config):
+    (key,) = config
+    with pytest.raises(ValueError, match=f"config '{key}' must be"):
+        run_pipeline(litmus_corpus()[:1], analyses=("cert",), config=config)
+
+
+def test_default_configs_pass_the_config_check():
+    from repro.fuzz import FUZZ_CONFIG
+    from repro.pipeline import DEFAULT_CONFIG, check_config
+
+    check_config(DEFAULT_CONFIG)
+    check_config(FUZZ_CONFIG)
+    check_config({"high": ["h"], "deadline": 2, "max_states": 10**8})
+
+
 def test_analysis_failure_is_reported_not_fatal():
     """A program one analysis cannot handle yields an error entry."""
     from repro.lang.parser import parse_statement

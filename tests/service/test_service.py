@@ -172,6 +172,33 @@ def test_default_deadline_applies_when_the_request_sets_none():
                  "analyses": ["nope"]}).encode(), "unknown analysis"),
     (json.dumps({"program": "x := 1", "kind": "statement",
                  "config": {"typo": 1}}).encode(), "unknown config key"),
+    # ill-typed config values: each one used to come back 200, either
+    # under a silently different policy or with a per-cell error record
+    (json.dumps({"program": "var h2, y : integer; y := h2",
+                 "config": {"high": "h2"}}).encode(), "'high' must be"),
+    (json.dumps({"program": "var h2, y : integer; y := h2",
+                 "config": {"high": [1]}}).encode(), "'high' must be"),
+    (json.dumps({"program": "x := 1", "kind": "statement",
+                 "config": {"por": "no"}}).encode(), "'por' must be"),
+    (json.dumps({"program": "x := 1", "kind": "statement",
+                 "config": {"scheme": "bogus"}}).encode(), "'scheme' must be"),
+    (json.dumps({"program": "x := 1", "kind": "statement",
+                 "config": {"on_concurrency": "maybe"}}).encode(),
+     "'on_concurrency' must be"),
+    (json.dumps({"program": "x := 1", "kind": "statement",
+                 "config": {"max_states": "abc"}}).encode(),
+     "'max_states' must be"),
+    (json.dumps({"program": "x := 1", "kind": "statement",
+                 "config": {"max_depth": True}}).encode(),
+     "'max_depth' must be"),
+    (json.dumps({"program": "x := 1", "kind": "statement",
+                 "config": {"deadline": "soon"}}).encode(),
+     "'deadline' must be"),
+    (json.dumps({"program": "x := 1", "kind": "statement",
+                 "deadline": "soon"}).encode(), "'deadline' must be"),
+    (json.dumps({"program": "x := 1", "kind": "statement",
+                 "config": {"fastpath": "yes"}}).encode(),
+     "'fastpath' must be"),
 ])
 def test_malformed_requests_are_clean_400s(raw, fragment):
     svc = AnalysisService(jobs=1, cache_dir=None, lru_capacity=0)

@@ -168,3 +168,19 @@ def test_non_decimal_digit_is_a_clean_lex_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert code == 2
     assert err == "error: 2:7: illegal character '²'\n"
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '["hy"]'])
+@pytest.mark.parametrize("command", ["certify", "lint", "infer"])
+def test_bindings_file_must_hold_an_object(tmp_path, command, content):
+    """Regression: ``infer`` handed the file to ``dict.update``, so
+    ``[1, 2]`` escaped as a ``TypeError`` and ``["hy"]`` read as h -> y.
+    Every subcommand refuses both the way ``certify`` always did."""
+    prog = tmp_path / "leak.rl"
+    prog.write_text("var h, y : integer; y := h")
+    binds = tmp_path / "binds.json"
+    binds.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(prog), "--bindings", str(binds)])
+    # a string code: the interpreter prints it and exits with status 1
+    assert exc.value.code == "error: the bindings file must hold a JSON object"
