@@ -9,13 +9,10 @@ Two experiments, emitted together as ``BENCH_cert.json``:
   (docs/fastpath.md), so a single disagreement fails the benchmark
   regardless of how fast it went.
 
-* **throughput** — the same corpus swept three ways: reference
-  analyzers, fused with cold caches (``clear_caches`` before every
-  repetition), and fused with warm caches (IR rows, per-context
-  records, and the interned schemes all shared).  Each sweep is
-  repeated and the best time kept, so the gates measure the engine
-  rather than scheduler noise.  Full-mode gates: warm fused at least
-  10x the reference, cold fused still ahead of it.
+* **throughput** — the same corpus swept twice: reference analyzers,
+  then the fused engine.  Each sweep is repeated and the best time
+  kept, so the gate measures the engine rather than scheduler noise.
+  Full-mode gate: fused ahead of the reference.
 
 The corpus is the litmus suite (19) + the paper programs (8) + seeded
 generator output in both profiles (26 seeds x 2), 79 programs total —
@@ -34,7 +31,7 @@ import sys
 import time
 
 from benchmarks._util import emit_table, write_bench_json
-from repro.fastpath import cache_stats, clear_caches, fused_cert, fused_denning
+from repro.fastpath import fused_cert, fused_denning
 from repro.fuzz.driver import generate_subject
 from repro.pipeline.analyses import (
     DEFAULT_CONFIG,
@@ -58,7 +55,6 @@ def build_corpus(smoke):
 
 def bench_identity(subjects):
     comparisons = mismatches = 0
-    clear_caches()
     for subject in subjects:
         for fused, reference in (
             (fused_cert, _reference_cert),
@@ -89,30 +85,22 @@ def _sweep_fused(subjects):
 
 
 def bench_throughput(subjects, repetitions):
-    def best(run, prepare=None):
+    def best(run):
         times = []
         for _ in range(repetitions):
-            if prepare is not None:
-                prepare()
             start = time.perf_counter()
             run(subjects)
             times.append(time.perf_counter() - start)
         return min(times)
 
     reference = best(_sweep_reference)
-    cold = best(_sweep_fused, prepare=clear_caches)
-    clear_caches()
-    _sweep_fused(subjects)  # populate every cache once
-    warm = best(_sweep_fused)
+    fused = best(_sweep_fused)
     return {
         "programs": len(subjects),
         "repetitions": repetitions,
         "reference_seconds": reference,
-        "fused_cold_seconds": cold,
-        "fused_warm_seconds": warm,
-        "speedup_cold": reference / cold,
-        "speedup_warm": reference / warm,
-        "caches": cache_stats(),
+        "fused_seconds": fused,
+        "speedup": reference / fused,
     }
 
 
@@ -138,14 +126,9 @@ def main(argv=None):
         [
             ("reference", f"{throughput['reference_seconds']:.4f}", "1.0x"),
             (
-                "fused cold",
-                f"{throughput['fused_cold_seconds']:.4f}",
-                f"{throughput['speedup_cold']:.1f}x",
-            ),
-            (
-                "fused warm",
-                f"{throughput['fused_warm_seconds']:.4f}",
-                f"{throughput['speedup_warm']:.1f}x",
+                "fused",
+                f"{throughput['fused_seconds']:.4f}",
+                f"{throughput['speedup']:.1f}x",
             ),
         ],
     )
@@ -167,8 +150,7 @@ def main(argv=None):
         assert identity["programs"] >= 75, identity
         # Perf gates only in full mode: smoke corpora are too small to
         # time reliably on loaded CI machines.
-        assert throughput["speedup_warm"] >= 10.0, throughput
-        assert throughput["speedup_cold"] > 1.0, throughput
+        assert throughput["speedup"] > 1.0, throughput
     return 0
 
 

@@ -2,14 +2,18 @@
 
 Two experiments, emitted together as ``BENCH_pipeline.json``:
 
-* **throughput** — the same corpus x analyses matrix run three ways:
+* **throughput** — one corpus x analyses matrix run three ways:
   serially (``jobs=1``, no cache), parallel (``jobs=4``, no cache) and
-  serially over a pre-warmed cache.  All three documents are asserted
-  byte-identical (the determinism contract), and the wall-clock ratios
-  are recorded.  The parallel ratio is hardware-bound: on a
-  single-core container it cannot exceed ~1x, so the artifact records
-  ``cpu_count`` and the assertion only applies where the hardware can
-  deliver it.  The warm-cache ratio is hardware-independent.
+  serially over a pre-warmed cache.  Each side runs in a fresh
+  interpreter that times only its own ``run_pipeline`` call, so no
+  side inherits what another side computed, and the corpus is big
+  enough that pool start-up does not decide the ratio.  All three
+  documents are asserted byte-identical (the determinism contract),
+  and the wall-clock ratios are recorded.  The parallel ratio is
+  hardware-bound: on a single-core container it cannot exceed ~1x, so
+  the artifact records ``cpu_count`` and the assertion only applies
+  where the hardware can deliver it.  The warm-cache ratio is
+  hardware-independent.
 
 * **chunk_sweep** — the parallel matrix re-run across dispatch
   granularities (``chunk_size`` 1 / auto / one-chunk): wall time and
@@ -35,8 +39,11 @@ to keep ``make bench`` fast).
 """
 
 import argparse
+import json
 import multiprocessing
+import os
 import sys
+import tempfile
 import time
 
 from benchmarks._util import emit_table, write_bench_json
@@ -52,9 +59,19 @@ ANALYSES = ("cert", "denning", "lint", "explore")
 
 MAX_STATES = 60_000
 
+#: Generated programs (count, statements) in the throughput corpus, in
+#: both modes.  On a 2-vCPU VM its serial side takes 6-7 s, so neither
+#: pool start-up nor a moment's contention decides the parallel ratio.
+THROUGHPUT_PROGRAMS = (96, 22)
+
 
 def bench_corpus(smoke: bool):
-    """Litmus cases plus runtime-safe concurrent generator output.
+    """The chunk sweep, observe and POR corpus."""
+    return concurrent_corpus(*((4, 14) if smoke else (24, 22)))
+
+
+def concurrent_corpus(n: int, size: int):
+    """Litmus cases plus ``n`` runtime-safe concurrent generator programs.
 
     The generated programs are the "concurrent corpus" of this
     benchmark: explorable under every schedule (so outcome sets can be
@@ -64,7 +81,6 @@ def bench_corpus(smoke: bool):
     program says nothing about interleaving reduction.
     """
     corpus = [(case.name, case.statement()) for case in CASES]
-    n, size = (4, 14) if smoke else (24, 22)
     seed, found = 6200, 0
     while found < n:
         program = random_program(
@@ -88,25 +104,67 @@ def _timed(fn):
     return time.perf_counter() - start, result
 
 
-def throughput_experiment(corpus, cache_dir: str, jobs: int):
+def timed_run(jobs: int, cache_dir, out: str) -> None:
+    """Time one ``run_pipeline`` call over the throughput corpus.
+
+    Writes the call's seconds, document and counters to ``out`` as
+    JSON.  ``cache_dir=None`` runs without a cache.
+    """
+    corpus = concurrent_corpus(*THROUGHPUT_PROGRAMS)
+    seconds, result = _timed(
+        lambda: run_pipeline(
+            corpus,
+            ANALYSES,
+            jobs=jobs,
+            cache_dir=cache_dir,
+            use_cache=cache_dir is not None,
+            config={"max_states": MAX_STATES},
+        )
+    )
+    with open(out, "w", encoding="utf-8") as handle:
+        json.dump(
+            {
+                "programs": len(corpus),
+                "seconds": seconds,
+                "document": result.to_json(),
+                "computed": result.stats["computed"],
+                "chunks": dict(result.metrics["chunks"]),
+                "errors": len(result.errors()),
+            },
+            handle,
+        )
+
+
+def _fresh_run(jobs: int, cache_dir=None) -> dict:
+    """:func:`timed_run` in a spawned interpreter, which inherits no memo."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "run.json")
+        child = multiprocessing.get_context("spawn").Process(
+            target=timed_run, args=(jobs, cache_dir, out)
+        )
+        child.start()
+        child.join()
+        if child.exitcode != 0:
+            raise RuntimeError(f"timed run exited {child.exitcode}")
+        with open(out, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+
+
+def throughput_experiment(cache_dir: str, jobs: int):
     """Serial vs parallel vs warm-cache over the same matrix."""
-    config = {"max_states": MAX_STATES}
-    t_serial, serial = _timed(
-        lambda: run_pipeline(corpus, ANALYSES, jobs=1, use_cache=False, config=config)
-    )
-    t_parallel, parallel = _timed(
-        lambda: run_pipeline(corpus, ANALYSES, jobs=jobs, use_cache=False, config=config)
-    )
-    run_pipeline(corpus, ANALYSES, jobs=1, cache_dir=cache_dir, config=config)
-    t_warm, warm = _timed(
-        lambda: run_pipeline(corpus, ANALYSES, jobs=1, cache_dir=cache_dir, config=config)
-    )
-    assert serial.to_json() == parallel.to_json() == warm.to_json(), (
+    serial = _fresh_run(1)
+    parallel = _fresh_run(jobs)
+    _fresh_run(jobs, cache_dir)  # fill the cache, untimed
+    warm = _fresh_run(1, cache_dir)
+    assert serial["document"] == parallel["document"] == warm["document"], (
         "determinism contract violated across execution strategies"
     )
-    assert warm.stats["computed"] == 0
+    assert warm["computed"] == 0
+    t_serial = serial["seconds"]
+    t_parallel = parallel["seconds"]
+    t_warm = warm["seconds"]
     return {
-        "programs": len(corpus),
+        "programs": serial["programs"],
         "analyses": list(ANALYSES),
         "jobs": jobs,
         "serial_seconds": t_serial,
@@ -114,18 +172,21 @@ def throughput_experiment(corpus, cache_dir: str, jobs: int):
         "warm_cache_seconds": t_warm,
         "speedup_parallel": t_serial / t_parallel if t_parallel > 0 else float("inf"),
         "speedup_warm_cache": t_warm and t_serial / t_warm,
-        "chunks": dict(parallel.metrics["chunks"]),
-        "errors": len(serial.errors()),
-    }, serial.to_json()
+        "chunks": parallel["chunks"],
+        "errors": serial["errors"],
+    }
 
 
-def chunk_sweep_experiment(corpus, jobs: int, expected_json: str):
+def chunk_sweep_experiment(corpus, jobs: int):
     """The parallel matrix across dispatch granularities.
 
     Every document must equal the serial baseline — ``chunk_size`` is
     an execution-strategy knob with a byte-identity contract.
     """
     config = {"max_states": MAX_STATES}
+    expected_json = run_pipeline(
+        corpus, ANALYSES, jobs=1, use_cache=False, config=config
+    ).to_json()
     cells = len(corpus) * len(ANALYSES)
     rows = []
     for label, chunk_size in (("1", 1), ("auto", None), ("all", cells)):
@@ -248,14 +309,10 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    import tempfile
-
     corpus = bench_corpus(args.smoke)
     with tempfile.TemporaryDirectory() as tmp:
-        throughput, serial_json = throughput_experiment(
-            corpus, args.cache_dir or tmp, args.jobs
-        )
-    chunk_sweep = chunk_sweep_experiment(corpus, args.jobs, serial_json)
+        throughput = throughput_experiment(args.cache_dir or tmp, args.jobs)
+    chunk_sweep = chunk_sweep_experiment(corpus, args.jobs)
     observe = observe_overhead_experiment(corpus)
     por = por_experiment(corpus)
 

@@ -37,7 +37,7 @@ from repro.core.denning import certify_denning
 from repro.core.inference import infer_binding
 from repro.errors import ReproError
 from repro.lang.ast import Program, used_variables
-from repro.lang.parser import parse_program
+from repro.lang.parser import parse_program, read_source
 from repro.lang.validate import validate_program
 from repro.lattice.chain import four_level, two_level
 from repro.lattice.finite import diamond
@@ -57,18 +57,44 @@ _SCHEMES = {
 
 
 def _load_program(path: str) -> Program:
-    if path == "-":
-        source = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-    program = parse_program(source)
+    program = parse_program(read_source(path))
     problems = validate_program(program)
     if problems:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
         raise SystemExit(2)
     return program
+
+
+def _checked(kind, admissible, expected: str):
+    """An argparse ``type``: a ``kind`` number that passes ``admissible``.
+
+    A refused value is a usage error naming the flag (exit 2), before
+    any library code sees it.
+    """
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not admissible(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text}")
+        return value
+
+    return parse
+
+
+#: Pools, chunks, queues and client counts.
+_COUNT = _checked(int, lambda n: n >= 1, ">= 1")
+#: A cache capacity; 0 disables the tier.
+_CAPACITY = _checked(int, lambda n: n >= 0, ">= 0")
+#: Requests per second.
+_RATE = _checked(float, lambda r: r > 0, "> 0")
+#: Tokens in a full bucket.
+_BURST = _checked(float, lambda b: b >= 1, ">= 1")
 
 
 def _parse_pairs(pairs: List[str], what: str) -> Dict[str, str]:
@@ -417,14 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--jobs",
-        type=int,
+        type=_COUNT,
         default=1,
         metavar="N",
         help="worker processes (default: 1 = serial)",
     )
     sub.add_argument(
         "--chunk-size",
-        type=int,
+        type=_COUNT,
         default=None,
         metavar="N",
         help="(program, analysis) cells dispatched per worker task "
@@ -521,14 +547,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--jobs",
-        type=int,
+        type=_COUNT,
         default=1,
         metavar="N",
         help="worker processes (default: 1 = serial)",
     )
     sub.add_argument(
         "--chunk-size",
-        type=int,
+        type=_COUNT,
         default=None,
         metavar="N",
         help="seeds dispatched per worker task "
@@ -602,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--jobs",
-        type=int,
+        type=_COUNT,
         default=2,
         metavar="N",
         help="persistent worker processes, pre-forked at startup "
@@ -610,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--chunk-size",
-        type=int,
+        type=_COUNT,
         default=None,
         metavar="N",
         help="(program, analysis) cells dispatched per worker task "
@@ -629,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--lru-size",
-        type=int,
+        type=_CAPACITY,
         default=4096,
         metavar="N",
         help="in-memory LRU tier capacity in entries "
@@ -650,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--shards",
-        type=int,
+        type=_COUNT,
         default=1,
         metavar="N",
         help="independent worker pools, requests routed by "
@@ -658,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--max-queue",
-        type=int,
+        type=_COUNT,
         default=64,
         metavar="N",
         help="admission bound on in-flight plus waiting requests; "
@@ -666,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--tenant-rps",
-        type=float,
+        type=_RATE,
         default=None,
         metavar="RATE",
         help="per-tenant token-bucket rate limit in requests/second, "
@@ -674,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--tenant-burst",
-        type=float,
+        type=_BURST,
         default=None,
         metavar="N",
         help="per-tenant burst size in tokens "
@@ -698,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--clients",
-        type=int,
+        type=_COUNT,
         default=8,
         metavar="N",
         help="concurrent closed-loop clients in the steady phase "
@@ -706,28 +732,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--jobs",
-        type=int,
+        type=_COUNT,
         default=2,
         metavar="N",
         help="worker processes for the spawned server (default: 2)",
     )
     sub.add_argument(
         "--shards",
-        type=int,
+        type=_COUNT,
         default=2,
         metavar="N",
         help="worker-pool shards for the spawned server (default: 2)",
     )
     sub.add_argument(
         "--max-queue",
-        type=int,
+        type=_COUNT,
         default=16,
         metavar="N",
         help="admission bound for the spawned server (default: 16)",
     )
     sub.add_argument(
         "--tenant-rps",
-        type=float,
+        type=_RATE,
         default=None,
         metavar="RATE",
         help="per-tenant rate limit for the spawned server "
@@ -735,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--overload-clients",
-        type=int,
+        type=_COUNT,
         default=32,
         metavar="N",
         help="burst clients in the overload phase; more than "

@@ -59,6 +59,10 @@ class ValidationError(LanguageError):
     """
 
 
+class LoadError(ReproError):
+    """The input cannot be read or imported at all (I/O, bad module)."""
+
+
 class BindingError(ReproError):
     """A static binding (Definition 3) is incomplete or inconsistent."""
 

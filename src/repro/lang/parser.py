@@ -22,13 +22,22 @@ Grammar (EBNF, ``[]`` optional, ``{}`` repetition)::
     factor   = int | "true" | "false" | ident | "(" expr ")" | "-" factor
 
 ``#`` is the paper's "not equal" operator.
+
+Nesting is bounded: past :data:`MAX_DEPTH` levels the parser raises a
+positioned :class:`~repro.errors.ParseError` (``L:C: nesting deeper
+than 128 levels``) instead of overflowing Python's stack, here or in
+any recursive consumer of the tree.  Statements, parentheses, unary
+operators and binary operators each count one level; a chain of ``n``
+binary operators is ``n`` levels, because that is how deep its tree
+is.  The count is kept while parsing, O(1) per node.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import List, Optional
 
-from repro.errors import ParseError
+from repro.errors import LoadError, ParseError
 from repro.lang.ast import (
     Assign,
     Begin,
@@ -52,6 +61,12 @@ from repro.lang.ast import (
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import Token
 
+#: Deepest nesting the parser accepts.  Every named corpus and the fuzz
+#: generator stay under 20 levels.  A parenthesis costs the parser about
+#: seven stack frames, so at this bound its own recursion stays under
+#: Python's default limit of 1000 frames.
+MAX_DEPTH = 128
+
 
 class Parser:
     """A single-use parser over a token list."""
@@ -59,6 +74,10 @@ class Parser:
     def __init__(self, tokens: List[Token]):
         self._tokens = tokens
         self._pos = 0
+        #: Levels enclosing the token being parsed.
+        self._depth = 0
+        #: Deepest level inside the expression parsed last.
+        self._deepest = 0
 
     # -- token plumbing -------------------------------------------------
 
@@ -93,6 +112,35 @@ class Parser:
         if self._peek().kind != "ident":
             raise self._error(f"expected {what}")
         return self._advance()
+
+    # -- nesting bound ---------------------------------------------------
+
+    def _too_deep(self, tok: Token) -> ParseError:
+        return ParseError(
+            f"nesting deeper than {MAX_DEPTH} levels", tok.line, tok.column
+        )
+
+    def _enter(self) -> None:
+        """Open one level at the current token; refuse past the bound."""
+        self._depth += 1
+        if self._depth > MAX_DEPTH:
+            raise self._too_deep(self._peek())
+
+    def _right_operand(self, parse, op: Token) -> Expr:
+        """Parse the right operand of binary operator ``op``, counting levels.
+
+        The operator sits one level above its right operand, and it
+        pushes everything parsed so far on its left one level deeper.
+        """
+        left_deepest = self._deepest
+        self._depth += 1
+        right = parse()
+        self._depth -= 1
+        if self._deepest <= left_deepest:
+            self._deepest = left_deepest + 1
+        if self._deepest > MAX_DEPTH:
+            raise self._too_deep(op)
+        return right
 
     # -- programs and declarations --------------------------------------
 
@@ -206,37 +254,40 @@ class Parser:
         """Parse one statement."""
         tok = self._peek()
         loc = self._loc()
-        if tok.is_keyword("begin"):
-            return self._parse_begin()
-        if tok.is_keyword("cobegin"):
-            return self._parse_cobegin()
-        if tok.is_keyword("if"):
-            return self._parse_if()
-        if tok.is_keyword("while"):
-            return self._parse_while()
-        if tok.is_keyword("wait"):
-            self._advance()
-            self._expect_symbol("(")
-            sem = self._expect_ident("semaphore name").value
-            self._expect_symbol(")")
-            return Wait(sem, loc)
-        if tok.is_keyword("signal"):
-            self._advance()
-            self._expect_symbol("(")
-            sem = self._expect_ident("semaphore name").value
-            self._expect_symbol(")")
-            return Signal(sem, loc)
-        if tok.is_keyword("skip"):
-            self._advance()
-            return Skip(loc)
-        if tok.is_keyword("call"):
-            return self._parse_call()
+        self._enter()
         if tok.kind == "ident":
             name = self._advance().value
             self._expect_symbol(":=")
-            expr = self.parse_expression()
-            return Assign(name, expr, loc)
-        raise self._error("expected a statement")
+            stmt: Stmt = Assign(name, self.parse_expression(), loc)
+        elif tok.is_keyword("begin"):
+            stmt = self._parse_begin()
+        elif tok.is_keyword("cobegin"):
+            stmt = self._parse_cobegin()
+        elif tok.is_keyword("if"):
+            stmt = self._parse_if()
+        elif tok.is_keyword("while"):
+            stmt = self._parse_while()
+        elif tok.is_keyword("wait"):
+            self._advance()
+            self._expect_symbol("(")
+            sem = self._expect_ident("semaphore name").value
+            self._expect_symbol(")")
+            stmt = Wait(sem, loc)
+        elif tok.is_keyword("signal"):
+            self._advance()
+            self._expect_symbol("(")
+            sem = self._expect_ident("semaphore name").value
+            self._expect_symbol(")")
+            stmt = Signal(sem, loc)
+        elif tok.is_keyword("skip"):
+            self._advance()
+            stmt = Skip(loc)
+        elif tok.is_keyword("call"):
+            stmt = self._parse_call()
+        else:
+            raise self._error("expected a statement")
+        self._depth -= 1
+        return stmt
 
     def _parse_call(self):
         """``call name(e1, ...; v1, ...)`` (either argument list optional)."""
@@ -312,23 +363,26 @@ class Parser:
         expr = self._parse_and()
         while self._peek().is_keyword("or"):
             loc = self._loc()
-            self._advance()
-            expr = BinOp("or", expr, self._parse_and(), loc)
+            op = self._advance()
+            expr = BinOp("or", expr, self._right_operand(self._parse_and, op), loc)
         return expr
 
     def _parse_and(self) -> Expr:
         expr = self._parse_not()
         while self._peek().is_keyword("and"):
             loc = self._loc()
-            self._advance()
-            expr = BinOp("and", expr, self._parse_not(), loc)
+            op = self._advance()
+            expr = BinOp("and", expr, self._right_operand(self._parse_not, op), loc)
         return expr
 
     def _parse_not(self) -> Expr:
         if self._peek().is_keyword("not"):
             loc = self._loc()
+            self._enter()
             self._advance()
-            return UnOp("not", self._parse_not(), loc)
+            operand = self._parse_not()
+            self._depth -= 1
+            return UnOp("not", operand, loc)
         return self._parse_rel()
 
     def _parse_rel(self) -> Expr:
@@ -337,14 +391,16 @@ class Parser:
         if tok.kind == "symbol" and tok.value in ("=", "#", "<", "<=", ">", ">="):
             loc = self._loc()
             self._advance()
-            expr = BinOp(tok.value, expr, self._parse_arith(), loc)
+            expr = BinOp(
+                tok.value, expr, self._right_operand(self._parse_arith, tok), loc
+            )
         return expr
 
     def _parse_arith(self) -> Expr:
         expr = self._parse_term()
         while self._peek().is_symbol("+") or self._peek().is_symbol("-"):
-            op = self._advance().value
-            expr = BinOp(op, expr, self._parse_term())
+            op = self._advance()
+            expr = BinOp(op.value, expr, self._right_operand(self._parse_term, op))
         return expr
 
     def _parse_term(self) -> Expr:
@@ -354,13 +410,15 @@ class Parser:
             or self._peek().is_symbol("/")
             or self._peek().is_keyword("mod")
         ):
-            op = self._advance().value
-            expr = BinOp(op, expr, self._parse_factor())
+            op = self._advance()
+            expr = BinOp(op.value, expr, self._right_operand(self._parse_factor, op))
         return expr
 
     def _parse_factor(self) -> Expr:
         tok = self._peek()
         loc = self._loc()
+        # a leaf adds no level; a parenthesis or a minus overwrites this
+        self._deepest = self._depth
         if tok.kind == "int":
             self._advance()
             return IntLit(int(tok.value), loc)
@@ -374,14 +432,34 @@ class Parser:
             self._advance()
             return Var(tok.value, loc)
         if tok.is_symbol("("):
+            self._enter()
             self._advance()
             expr = self.parse_expression()
             self._expect_symbol(")")
+            self._depth -= 1
             return expr
         if tok.is_symbol("-"):
+            self._enter()
             self._advance()
-            return UnOp("-", self._parse_factor(), loc)
+            operand = self._parse_factor()
+            self._depth -= 1
+            return UnOp("-", operand, loc)
         raise self._error("expected an expression")
+
+
+def read_source(path: str) -> str:
+    """The text of the program file at ``path`` (``-`` reads stdin).
+
+    Raises :class:`~repro.errors.LoadError` when the file cannot be
+    read as UTF-8 text, so every command reports it the same way.
+    """
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LoadError(f"cannot read {path}: {exc}") from exc
 
 
 def parse_program(source: str) -> Program:

@@ -40,6 +40,7 @@ import hashlib
 import json
 import threading
 import time
+import traceback
 from concurrent.futures import Future
 from typing import Dict, List, Optional, Tuple
 
@@ -300,10 +301,13 @@ class AnalysisService:
             return self._reject("request body is not valid JSON", 400)
         try:
             corpus, analyses, config = self._parse_request(request)
+            key = self._coalescing_key(corpus, analyses, config)
         except ServiceError as exc:
             return self._reject(str(exc), exc.status)
-
-        key = self._coalescing_key(corpus, analyses, config)
+        except Exception:
+            # anything else escaping parse, validation or keying is a
+            # service bug: answer it, never drop the connection
+            return self._abort()
         with self._lock:
             future = self._inflight.get(key)
             leader = future is None
@@ -331,6 +335,13 @@ class AnalysisService:
         with self._lock:
             self.rejected += 1
         return status, _error_body(message, status)
+
+    def _abort(self) -> Tuple[int, bytes]:
+        """The counted 500 for a service bug; its traceback goes to stderr."""
+        traceback.print_exc()
+        with self._lock:
+            self.admission["aborted"] += 1
+        return 500, _error_body("internal service error", 500)
 
     def _tenant_record_locked(
         self, name: str
@@ -391,9 +402,7 @@ class AnalysisService:
             # Request-level validation already happened in
             # _parse_request; anything escaping the pipeline here is a
             # service bug and must read as one, never as a client 400.
-            with self._lock:
-                self.admission["aborted"] += 1
-            return 500, _error_body("internal service error", 500)
+            return self._abort()
         finally:
             with self._lock:
                 self.in_flight -= 1

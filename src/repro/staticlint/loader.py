@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
-from repro.errors import LanguageError, ReproError
+from repro.errors import LanguageError, LoadError, ReproError
 from repro.lang.ast import Program, Stmt
 from repro.staticlint.diagnostics import Diagnostic, Span, make
 
@@ -52,10 +52,6 @@ class LintUnit:
         return self.path if not self.name else f"{self.path}:{self.name}"
 
 
-class LoadError(ReproError):
-    """The input cannot be read or imported at all (I/O, bad module)."""
-
-
 def load_units(path: str) -> List[LintUnit]:
     """All lintable programs found at ``path`` (see module docstring)."""
     if path.endswith(".py"):
@@ -63,22 +59,12 @@ def load_units(path: str) -> List[LintUnit]:
     return [_load_source(path)]
 
 
-def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LoadError(f"cannot read {path}: {exc}") from exc
-
-
 def _load_source(path: str) -> LintUnit:
     """Parse a paper-language file; failures become diagnostics."""
-    from repro.lang.parser import parse_program
+    from repro.lang.parser import parse_program, read_source
     from repro.lang.validate import validate_program
 
-    source = _read(path)
+    source = read_source(path)
     try:
         program = parse_program(source)
     except LanguageError as exc:

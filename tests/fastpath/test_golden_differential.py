@@ -4,16 +4,12 @@ The pipeline JSON document is the repo's diffable artifact, so the
 fast path is pinned at that level: over the litmus and paper corpora,
 for cert + denning + lint together, the document produced with
 ``fastpath`` enabled equals the reference document **byte for byte** —
-cold caches, memo-warm caches, serial and ``jobs=4``.  (Workers fork,
-so the jobs=4 runs are warmed by first warming the parent's memo.)
+first run and repeat, serial and ``jobs=4``.
 
 When may the fused and reference paths legally differ?  Never.  Any
 byte of divergence is a fast-path bug by definition (docs/fastpath.md).
 """
 
-import pytest
-
-from repro.fastpath import cache_stats, clear_caches
 from repro.pipeline import run_pipeline
 from repro.workloads.suites import corpus
 
@@ -36,58 +32,47 @@ def _document(*, fastpath, jobs=1, config_extra=()):
     ).to_json()
 
 
-@pytest.fixture(autouse=True)
-def _fresh_caches():
-    clear_caches()
-    yield
-    clear_caches()
-
-
-def test_cold_fused_document_is_byte_identical():
+def test_cold_fused_document_is_byte_identical(fused_calls):
     reference = _document(fastpath=False)
-    clear_caches()
+    assert fused_calls == {"fused_cert": 0, "fused_denning": 0}
     fused = _document(fastpath=True)
     assert fused == reference
-    assert cache_stats()["irs"] > 0  # the fused run really took the fast path
+    # the fused run really took the fast path, for every program
+    programs = len(_corpus())
+    assert fused_calls == {"fused_cert": programs, "fused_denning": programs}
 
 
-def test_memo_warm_fused_document_is_byte_identical():
+def test_repeated_fused_document_is_byte_identical():
     reference = _document(fastpath=False)
-    clear_caches()
-    _document(fastpath=True)  # cold pass populates the IR + record memos
-    stats = cache_stats()
-    assert stats["memo"] > 0
-    warm = _document(fastpath=True)
-    assert warm == reference
+    _document(fastpath=True)
+    again = _document(fastpath=True)
+    assert again == reference
 
 
 def test_jobs4_fused_document_is_byte_identical():
     reference = _document(fastpath=False, jobs=1)
-    clear_caches()
-    # jobs=4 cold: each forked worker lowers and evaluates on its own
-    cold_parallel = _document(fastpath=True, jobs=4)
-    assert cold_parallel == reference
-    # jobs=4 memo-warm: warm the parent first; forks inherit its memo
+    # each forked worker runs the sweep on its own
+    first_parallel = _document(fastpath=True, jobs=4)
+    assert first_parallel == reference
+    # and again after a serial fused run in the parent
     _document(fastpath=True, jobs=1)
-    warm_parallel = _document(fastpath=True, jobs=4)
-    assert warm_parallel == reference
+    again_parallel = _document(fastpath=True, jobs=4)
+    assert again_parallel == reference
 
 
 def test_reject_mode_documents_are_byte_identical():
     extra = {"on_concurrency": "reject"}
     reference = _document(fastpath=False, config_extra=extra)
-    clear_caches()
-    cold = _document(fastpath=True, config_extra=extra)
-    warm = _document(fastpath=True, config_extra=extra)
-    assert cold == reference
-    assert warm == reference
+    first = _document(fastpath=True, config_extra=extra)
+    again = _document(fastpath=True, config_extra=extra)
+    assert first == reference
+    assert again == reference
 
 
 def test_other_schemes_are_byte_identical():
     for scheme in ("four-level", "diamond"):
         extra = {"scheme": scheme, "high": ("h",)}
         reference = _document(fastpath=False, config_extra=extra)
-        clear_caches()
         assert _document(fastpath=True, config_extra=extra) == reference
 
 

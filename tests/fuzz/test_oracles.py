@@ -147,9 +147,6 @@ def test_generate_subject_is_deterministic():
 
 
 def test_cert_equiv_holds_on_parsed_and_generated_programs():
-    from repro.fastpath import clear_caches
-
-    clear_caches()
     s = parse_statement("begin x := v0; while v0 > 0 do x := x - 1 end")
     assert ORACLES["cert-equiv"].check(s, CONFIG) is None
     for seed in range(4):
@@ -157,7 +154,6 @@ def test_cert_equiv_holds_on_parsed_and_generated_programs():
             assert ORACLES["cert-equiv"].check(
                 generate_subject(seed, profile), CONFIG
             ) is None
-    clear_caches()
 
 
 def test_cert_equiv_skips_when_the_fast_path_is_disabled():

@@ -125,6 +125,23 @@ def test_internal_pipeline_error_is_a_500_not_a_400(monkeypatch):
     assert (svc.in_flight, svc.waiting) == (0, 0)
 
 
+def test_internal_validation_error_is_a_500_not_a_dropped_request(monkeypatch):
+    def explode(program):
+        raise RuntimeError("a bug inside the validator")
+
+    monkeypatch.setattr(app_module, "validate_program", explode)
+    svc = AnalysisService(jobs=1, cache_dir=None, lru_capacity=0)
+    status, payload = svc.analyze_json(
+        body(program="var l : integer; l := 1", kind="program")
+    )
+    assert status == 500
+    assert json.loads(payload) == {"error": "internal service error",
+                                   "status": 500}
+    assert svc.admission["aborted"] == 1
+    assert svc.rejected == 0
+    assert (svc.in_flight, svc.waiting) == (0, 0)
+
+
 def test_unknown_names_are_400s_decided_before_the_pipeline(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("pipeline reached for an invalid request")

@@ -17,6 +17,7 @@ from repro.observe.metrics import validate_metrics
 from repro.pipeline import run_pipeline
 from repro.service import AnalysisService
 from repro.workloads.paper import FIGURE3_SOURCE, figure3_program
+from tests.lang.nesting import SHAPES, nested_program
 
 #: Unbounded state space: explore only ever stops on a budget.
 DIVERGENT = "begin x := 0; while 0 = 0 do x := x + 1 end"
@@ -199,6 +200,13 @@ def test_default_deadline_applies_when_the_request_sets_none():
     (json.dumps({"program": "x := 1", "kind": "statement",
                  "config": {"fastpath": "yes"}}).encode(),
      "'fastpath' must be"),
+    # 10,000 levels deep: refused by the parser's nesting bound, with a
+    # position, instead of overflowing the stack in a parse or a pretty
+    *[
+        (json.dumps({"program": nested_program(shape, 10_000)}).encode(),
+         "nesting deeper than")
+        for shape in SHAPES
+    ],
 ])
 def test_malformed_requests_are_clean_400s(raw, fragment):
     svc = AnalysisService(jobs=1, cache_dir=None, lru_capacity=0)

@@ -1,9 +1,13 @@
 """The command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
+from repro.lang.parser import MAX_DEPTH
 from repro.workloads.paper import FIGURE3_SOURCE
+from tests.lang.nesting import SHAPES, nested_program
 
 
 @pytest.fixture
@@ -184,3 +188,83 @@ def test_bindings_file_must_hold_an_object(tmp_path, command, content):
         main([command, str(prog), "--bindings", str(binds)])
     # a string code: the interpreter prints it and exits with status 1
     assert exc.value.code == "error: the bindings file must hold a JSON object"
+
+
+def _exit_code(argv):
+    """``main``'s exit status, whether returned or raised (argparse exits)."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["serve", "--jobs", "0"], "--jobs"),
+    (["serve", "--lru-size", "-1"], "--lru-size"),
+    (["serve", "--max-queue", "0"], "--max-queue"),
+    (["serve", "--shards", "0"], "--shards"),
+    (["serve", "--tenant-rps", "0"], "--tenant-rps"),
+    (["serve", "--tenant-burst", "0.5"], "--tenant-burst"),
+    (["serve", "--chunk-size", "0"], "--chunk-size"),
+    (["batch", "--corpus", "litmus", "--jobs", "-4"], "--jobs"),
+    (["batch", "--corpus", "litmus", "--jobs", "1", "--chunk-size", "0"],
+     "--chunk-size"),
+    (["fuzz", "--jobs", "0"], "--jobs"),
+    (["fuzz", "--chunk-size", "0"], "--chunk-size"),
+    (["loadtest", "--clients", "0"], "--clients"),
+    (["loadtest", "--overload-clients", "0"], "--overload-clients"),
+    (["loadtest", "--tenant-rps", "-1"], "--tenant-rps"),
+    (["batch", "--corpus", "litmus", "--jobs", "two"], "--jobs"),
+    (["certify", "{missing}"], "{missing}"),
+    (["certify", "{directory}"], "{directory}"),
+    (["certify", "{latin1}"], "{latin1}"),
+    (["batch", "--no-cache", "{missing}"], "{missing}"),
+    (["batch", "--no-cache", "{directory}"], "{directory}"),
+    (["batch", "--no-cache", "{latin1}"], "{latin1}"),
+])
+def test_bad_counts_and_unreadable_files_are_usage_errors(
+    tmp_path, capsys, argv, named
+):
+    """Regression: each of these died with a traceback and exit 1, or,
+    like ``batch --jobs -4``, ran with a nonsense value."""
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "latin1.rl").write_bytes(b"var x : integer; x := 1 -- caf\xe9\n")
+    paths = {
+        name: str(tmp_path / file)
+        for name, file in (
+            ("missing", "missing.rl"),
+            ("directory", "directory"),
+            ("latin1", "latin1.rl"),
+        )
+    }
+    argv = [arg.format(**paths) for arg in argv]
+    named = named.format(**paths)
+    code = _exit_code(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err
+    if named.startswith("--"):
+        assert f"argument {named}: " in err
+    else:
+        assert err.startswith(f"error: cannot read {named}: ")
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("command", [
+    ["certify", "--default", "low"],
+    ["batch", "--no-cache"],
+])
+def test_deeply_nested_programs_are_refused_with_a_position(
+    tmp_path, capsys, command, shape
+):
+    """Regression: 10,000 levels overflowed the stack in the parser,
+    the pretty-printer or a certifier, and died with a traceback."""
+    path = tmp_path / f"{shape}.rl"
+    path.write_text(nested_program(shape, 10_000))
+    code = main([command[0], str(path), *command[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.fullmatch(
+        rf"error: \d+:\d+: nesting deeper than {MAX_DEPTH} levels\n", err
+    )
