@@ -62,7 +62,12 @@ def pretty_expr(expr: Expr, parent_prec: int = 0) -> str:
     if isinstance(expr, UnOp):
         prec = _PRECEDENCE["not" if expr.op == "not" else "neg"]
         inner = pretty_expr(expr.operand, prec)
-        text = f"not {inner}" if expr.op == "not" else f"-{inner}"
+        if expr.op == "not":
+            text = f"not {inner}"
+        elif inner.startswith("-"):
+            text = f"- {inner}"  # "--" would open a comment
+        else:
+            text = f"-{inner}"
         return f"({text})" if prec < parent_prec else text
     if isinstance(expr, BinOp):
         prec = _PRECEDENCE[expr.op]

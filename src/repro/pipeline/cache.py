@@ -162,12 +162,15 @@ class ResultCache:
         payload = {"key": key, "analysis": analysis, "result": result}
         tmp: Optional[str] = None
         try:
+            # One-shot dumps runs CPython's C encoder; json.dump to a
+            # file would run the pure-Python one.  Same bytes either way.
+            text = json.dumps(payload, sort_keys=True)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp = tempfile.mkstemp(
                 dir=os.path.dirname(path), suffix=".json.tmp"
             )
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
+                handle.write(text)
             os.replace(tmp, path)
             tmp = None  # the write landed; nothing to clean up
             self.stats.writes += 1

@@ -197,32 +197,50 @@ def _action_footprint(head) -> FrozenSet[str]:
     return frozenset()
 
 
-def _future_footprints(machine: Machine, cache: Dict[int, FrozenSet[str]]):
-    """Per-process union of every variable its continuation can touch.
+class _Footprints:
+    """POR footprints, memoized for one exploration.
 
-    Every action a process (or any process it later spawns) can ever
-    perform sits in the subtree of some statement currently on its
-    continuation — loop bodies stay attached to their ``while`` node
-    and ``cobegin`` branches are children of the ``cobegin`` — so the
-    statically collected variable set over-approximates the process's
-    entire future footprint.  ``cache`` memoizes per statement ``uid``
-    (the AST is shared across all machine copies of one exploration).
+    Every machine copy of one exploration shares the AST, so a
+    statement's action footprint and a continuation's future footprint
+    never change; each is computed once per ``explore`` call.
     """
-    footprints = {}
-    for pid, proc in machine.processes.items():
-        fp: Set[str] = set()
-        for item in proc.continuation:
-            if isinstance(item, Stmt):
-                vars_ = cache.get(item.uid)
-                if vars_ is None:
-                    vars_ = used_variables(item)
-                    cache[item.uid] = vars_
-                fp |= vars_
-        footprints[pid] = fp
-    return footprints
+
+    def __init__(self) -> None:
+        self._actions: Dict[Stmt, FrozenSet[str]] = {}
+        self._futures: Dict[Tuple, FrozenSet[str]] = {}
+        self._statements: Dict[Stmt, FrozenSet[str]] = {}
+
+    def action(self, head: Stmt) -> FrozenSet[str]:
+        """``head``'s action footprint (see :func:`_action_footprint`)."""
+        footprint = self._actions.get(head)
+        if footprint is None:
+            footprint = self._actions[head] = _action_footprint(head)
+        return footprint
+
+    def future(self, continuation: Tuple) -> FrozenSet[str]:
+        """Every variable a process with ``continuation`` can touch.
+
+        Every action a process (or any process it later spawns) can
+        ever perform sits in the subtree of some statement currently on
+        its continuation — loop bodies stay attached to their ``while``
+        node and ``cobegin`` branches are children of the ``cobegin`` —
+        so the statically collected variable set over-approximates the
+        process's entire future footprint.
+        """
+        footprint = self._futures.get(continuation)
+        if footprint is None:
+            names: Set[str] = set()
+            for item in continuation:
+                if isinstance(item, Stmt):
+                    used = self._statements.get(item)
+                    if used is None:
+                        used = self._statements[item] = used_variables(item)
+                    names |= used
+            footprint = self._futures[continuation] = frozenset(names)
+        return footprint
 
 
-def _ample(machine: Machine, enabled: List[Pid], cache) -> List[Pid]:
+def _ample(machine: Machine, enabled: List[Pid], footprints: _Footprints) -> List[Pid]:
     """Pick a sound subset of ``enabled`` to expand (POR step).
 
     If some enabled process's next action touches only variables no
@@ -234,16 +252,29 @@ def _ample(machine: Machine, enabled: List[Pid], cache) -> List[Pid]:
     the exact set of completed and deadlocked outcomes.  When no such
     process exists, the full enabled set is returned (no reduction).
     """
-    footprints = _future_footprints(machine, cache)
+    future = {
+        pid: footprints.future(proc.continuation)
+        for pid, proc in machine.processes.items()
+    }
     for pid in enabled:
-        action = _action_footprint(machine.processes[pid].head())
+        action = footprints.action(machine.processes[pid].continuation[0])
         if all(
             action.isdisjoint(fp)
-            for other, fp in footprints.items()
+            for other, fp in future.items()
             if other != pid
         ):
             return [pid]
     return enabled
+
+
+def _schedule(link) -> Tuple[Pid, ...]:
+    """The witness schedule a parent-linked ``(pid, parent)`` chain spells."""
+    pids = []
+    while link is not None:
+        pid, link = link
+        pids.append(pid)
+    pids.reverse()
+    return tuple(pids)
 
 
 def explore(
@@ -292,7 +323,7 @@ def explore(
 
     root = Machine(subject, store=store, monitor=monitor)
     reduce = por and monitor is None
-    footprint_cache: Dict[int, FrozenSet[str]] = {}
+    footprints = _Footprints()
     visited: Set[Tuple] = set()
     outcomes: Set[Outcome] = set()
     schedules: Dict[Outcome, Tuple[Pid, ...]] = {}
@@ -304,16 +335,21 @@ def explore(
     limit: Optional[str] = None
     abandoned = 0
 
-    def record(outcome: Outcome, schedule: Tuple[Pid, ...]) -> None:
+    def record(status: str, machine: Machine, link) -> None:
+        outcome = Outcome(status, tuple(sorted(machine.store.items())))
         if outcome not in outcomes:
             outcomes.add(outcome)
-            schedules[outcome] = schedule
+            schedules[outcome] = _schedule(link)
 
-    stack: List[Tuple[Machine, Tuple[Pid, ...]]] = [(root, ())]
+    # Each frontier entry carries its witness schedule as a
+    # parent-linked ``(pid, parent)`` chain plus its length, so a
+    # transition costs O(1) however deep the exploration goes.
+    stack: List[Tuple[Machine, Optional[Tuple], int]] = [(root, None, 0)]
     while stack:
-        machine, schedule = stack.pop()
-        snap = machine.snapshot()
-        if snap in visited:
+        machine, link, depth = stack.pop()
+        seen = len(visited)
+        visited.add(machine.snapshot())
+        if len(visited) == seen:
             continue
         if states_visited >= max_states:
             # The budget is spent *before* this new state is counted,
@@ -339,36 +375,36 @@ def explore(
             limit = "deadline"
             abandoned = len(stack) + 1
             break
-        visited.add(snap)
         states_visited += 1
         if len(machine.processes) > peak_processes:
             peak_processes = len(machine.processes)
         if machine.done:
-            record(Outcome(COMPLETED, tuple(sorted(machine.store.items()))), schedule)
+            record(COMPLETED, machine, link)
             continue
-        if machine.deadlocked:
-            record(Outcome(DEADLOCK, tuple(sorted(machine.store.items()))), schedule)
+        enabled = machine.enabled()
+        if not enabled:
+            record(DEADLOCK, machine, link)
             continue
-        if len(schedule) >= max_depth:
+        if depth >= max_depth:
             if on_limit == "raise":
                 raise ExplorationLimitExceeded(f"schedule longer than {max_depth}")
-            record(Outcome(CUTOFF, tuple(sorted(machine.store.items()))), schedule)
+            record(CUTOFF, machine, link)
             complete = False
             if limit is None:
                 limit = "depth"
             continue
-        enabled = machine.enabled()
         if reduce and len(enabled) > 1:
-            ample = _ample(machine, enabled, footprint_cache)
+            ample = _ample(machine, enabled, footprints)
             if len(ample) < len(enabled):
                 reduced_states += 1
             enabled = ample
+        last = len(enabled) - 1
         for i, pid in enumerate(enabled):
             # The last branch may reuse the machine instead of copying.
-            branch = machine if i == len(enabled) - 1 else machine.copy()
-            branch.step(pid)
+            branch = machine if i == last else machine.copy()
+            branch.advance(pid)
             transitions += 1
-            stack.append((branch, schedule + (pid,)))
+            stack.append((branch, (pid, link), depth + 1))
     elapsed = time.perf_counter() - started
     result = ExplorationResult(
         frozenset(outcomes), states_visited, transitions, complete, schedules,

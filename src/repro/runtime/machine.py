@@ -19,12 +19,21 @@ Process identifiers are hierarchical tuples — the root is ``()``, the
 ``i``-th branch of a ``cobegin`` spawned by process ``p`` is
 ``p + (i,)`` — so identifiers are deterministic regardless of the
 interleaving, which keeps state snapshots canonical for the explorer.
+
+Each process is an immutable :class:`Process` record: a step replaces
+the process's table entry instead of mutating it, so :meth:`Machine.copy`
+shares every record and copies only the table, the store and the
+monitor.  The table is kept in pid order (it is re-sorted only when a
+``cobegin`` adds pids), so :meth:`Machine.enabled` and
+:meth:`Machine.snapshot` never sort it.  :meth:`Machine.advance` makes a
+transition; :meth:`Machine.step` makes the same transition and also
+returns an :class:`Event` describing it, for traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import RuntimeFault, SemaphoreError
 from repro.lang.ast import (
@@ -32,7 +41,6 @@ from repro.lang.ast import (
     Begin,
     Cobegin,
     If,
-    Node,
     Program,
     Signal,
     Skip,
@@ -40,7 +48,6 @@ from repro.lang.ast import (
     Wait,
     While,
     used_variables,
-    iter_nodes,
 )
 from repro.runtime.eval import Value, evaluate
 
@@ -83,27 +90,20 @@ POP_LOCAL = _PopLocal()
 ContItem = Union[Stmt, _PopLocal]
 
 
-@dataclass
-class Process:
-    """One process: a continuation plus join bookkeeping."""
+class Process(NamedTuple):
+    """One process: join bookkeeping plus a continuation (immutable).
+
+    The field order makes a record compare and hash like the tuple the
+    explorer's state snapshots are built from.
+    """
 
     pid: Pid
+    status: str  # ready | joining | done
+    pending_children: int
     continuation: Tuple[ContItem, ...]
-    status: str = "ready"  # ready | joining | done
-    pending_children: int = 0
-    spawner: Optional[Stmt] = None  # the cobegin that created it, if any
 
     def head(self) -> Optional[ContItem]:
         return self.continuation[0] if self.continuation else None
-
-    def key(self) -> Tuple:
-        """Hashable identity for state snapshots."""
-        return (self.pid, self.status, self.pending_children, self.continuation)
-
-    def clone(self) -> "Process":
-        return Process(
-            self.pid, self.continuation, self.status, self.pending_children, self.spawner
-        )
 
 
 @dataclass(frozen=True)
@@ -150,26 +150,24 @@ class Machine:
         self.subject = subject
         self.store: Dict[str, Value] = initial
         self.monitor = monitor
+        #: The process table, kept in pid order.
         self.processes: Dict[Pid, Process] = {}
         self.steps_taken = 0
         #: Largest live process count this run (or lineage) has seen —
         #: the machine-level half of the observability layer's
         #: concurrency metrics (see :mod:`repro.observe`).
         self.peak_processes = 1
-        root = Process((), (body,))
-        self.processes[root.pid] = root
-        self._normalize(root)
+        self._settle((), (body,))
 
     # -- queries -----------------------------------------------------------
 
     def enabled(self) -> List[Pid]:
-        """Processes that can take a step right now (sorted for determinism)."""
+        """Processes that can take a step right now, in pid order."""
         out = []
-        for pid in sorted(self.processes):
-            proc = self.processes[pid]
+        for pid, proc in self.processes.items():
             if proc.status != "ready":
                 continue
-            head = proc.head()
+            head = proc.continuation[0]
             if isinstance(head, Wait) and self._sem_value(head.sem) <= 0:
                 continue
             out.append(pid)
@@ -195,7 +193,7 @@ class Machine:
         enabled = set(self.enabled())
         return [
             pid
-            for pid, proc in sorted(self.processes.items())
+            for pid, proc in self.processes.items()
             if proc.status == "ready" and pid not in enabled
         ]
 
@@ -208,129 +206,138 @@ class Machine:
     # -- stepping ------------------------------------------------------------
 
     def step(self, pid: Pid) -> Event:
-        """Execute one atomic action of process ``pid``."""
+        """Execute one atomic action of process ``pid`` and describe it."""
+        proc = self.processes.get(pid)
+        taken = self.advance(pid)
+        head = proc.continuation[0]  # the record predates the step
+        if isinstance(head, Assign):
+            value = format_value(self.store[head.target])
+            return Event(pid, "assign", head, f"{head.target} := {value}")
+        if isinstance(head, If):
+            return Event(pid, "branch", head, f"if -> {taken}")
+        if isinstance(head, While):
+            detail = "while -> enter body" if taken else "while -> exit"
+            return Event(pid, "loop", head, detail)
+        if isinstance(head, Wait):
+            return Event(pid, "wait", head, f"wait({head.sem})")
+        if isinstance(head, Signal):
+            return Event(pid, "signal", head, f"signal({head.sem})")
+        return Event(pid, "skip", head, "skip")
+
+    def advance(self, pid: Pid) -> Optional[bool]:
+        """Execute one atomic action of process ``pid``.
+
+        The transition :meth:`step` makes, without building its
+        :class:`Event`.  Returns the decision of a condition evaluation
+        (``if``/``while``), ``None`` for any other action.
+        """
         proc = self.processes.get(pid)
         if proc is None or proc.status != "ready":
             raise RuntimeFault(f"process {pid!r} cannot step (not ready)")
-        head = proc.head()
-        if head is None:  # normalization keeps this impossible
+        continuation = proc.continuation
+        if not continuation:  # settling keeps this impossible
             raise RuntimeFault(f"process {pid!r} has an empty continuation")
+        head = continuation[0]
+        rest = continuation[1:]
+        monitor = self.monitor
+        taken = None
 
         if isinstance(head, Assign):
-            if self.monitor is not None:
-                self.monitor.on_assign(pid, head.target, head.expr)
-            value = evaluate(head.expr, self.store)
-            self.store[head.target] = value
-            event = Event(pid, "assign", head, f"{head.target} := {format_value(value)}")
-            self._advance(proc, ())
+            if monitor is not None:
+                monitor.on_assign(pid, head.target, head.expr)
+            self.store[head.target] = evaluate(head.expr, self.store)
         elif isinstance(head, Skip):
-            event = Event(pid, "skip", head, "skip")
-            self._advance(proc, ())
+            pass
         elif isinstance(head, If):
             taken = bool(evaluate(head.cond, self.store))
-            if self.monitor is not None:
-                self.monitor.on_branch(pid, head.cond)
+            if monitor is not None:
+                monitor.on_branch(pid, head.cond)
             branch = head.then_branch if taken else head.else_branch
-            push: Tuple[ContItem, ...] = (POP_LOCAL,)
-            if branch is not None:
-                push = (branch, POP_LOCAL)
-            event = Event(pid, "branch", head, f"if -> {taken}")
-            self._advance(proc, push)
+            push = (POP_LOCAL,) if branch is None else (branch, POP_LOCAL)
+            rest = push + rest
         elif isinstance(head, While):
             taken = bool(evaluate(head.cond, self.store))
-            if self.monitor is not None:
-                self.monitor.on_loop_eval(pid, head.cond, taken)
+            if monitor is not None:
+                monitor.on_loop_eval(pid, head.cond, taken)
             if taken:
                 # Keep the while node on the continuation after the body.
-                event = Event(pid, "loop", head, "while -> enter body")
-                proc.continuation = (head.body, POP_LOCAL) + proc.continuation
-                self._normalize(proc)
-            else:
-                event = Event(pid, "loop", head, "while -> exit")
-                self._advance(proc, ())
+                rest = (head.body, POP_LOCAL) + continuation
         elif isinstance(head, Wait):
-            if self._sem_value(head.sem) <= 0:
+            value = self._sem_value(head.sem)
+            if value <= 0:
                 raise RuntimeFault(f"process {pid!r} is blocked on wait({head.sem})")
-            if self.monitor is not None:
-                self.monitor.on_wait(pid, head.sem)
-            self.store[head.sem] = self._sem_value(head.sem) - 1
-            event = Event(pid, "wait", head, f"wait({head.sem})")
-            self._advance(proc, ())
+            if monitor is not None:
+                monitor.on_wait(pid, head.sem)
+            self.store[head.sem] = value - 1
         elif isinstance(head, Signal):
-            if self.monitor is not None:
-                self.monitor.on_signal(pid, head.sem)
+            if monitor is not None:
+                monitor.on_signal(pid, head.sem)
             self.store[head.sem] = self._sem_value(head.sem) + 1
-            event = Event(pid, "signal", head, f"signal({head.sem})")
-            self._advance(proc, ())
         else:
             raise RuntimeFault(f"unexpected continuation head {head!r}")
+        self._settle(pid, rest)
         self.steps_taken += 1
-        return event
+        return taken
 
-    def _advance(self, proc: Process, push: Tuple[ContItem, ...]) -> None:
-        """Drop the current head, push ``push``, renormalize."""
-        proc.continuation = push + proc.continuation[1:]
-        self._normalize(proc)
-
-    def _normalize(self, proc: Process) -> None:
-        """Unfold structural items until an atomic action heads the
-        continuation (or the process finishes / starts joining)."""
-        while True:
-            if not proc.continuation:
-                proc.status = "done"
-                self._notify_parent(proc)
-                return
-            head = proc.continuation[0]
-            if isinstance(head, _PopLocal):
+    def _settle(self, pid: Pid, continuation: Tuple[ContItem, ...]) -> None:
+        """Store process ``pid`` with ``continuation``, first unfolding
+        structural items until an atomic action heads it (or the
+        process finishes or starts joining)."""
+        while continuation:
+            head = continuation[0]
+            if head is POP_LOCAL:
                 if self.monitor is not None:
-                    self.monitor.on_pop_local(proc.pid)
-                proc.continuation = proc.continuation[1:]
-                continue
-            if isinstance(head, Begin):
-                proc.continuation = tuple(head.body) + proc.continuation[1:]
-                continue
-            if isinstance(head, Cobegin):
-                self._spawn(proc, head)
+                    self.monitor.on_pop_local(pid)
+                continuation = continuation[1:]
+            elif isinstance(head, Begin):
+                continuation = tuple(head.body) + continuation[1:]
+            elif isinstance(head, Cobegin):
+                self._spawn(pid, head, continuation[1:])
                 return
-            proc.status = "ready"
-            return
+            else:
+                self.processes[pid] = Process(pid, "ready", 0, continuation)
+                return
+        self.processes[pid] = Process(pid, "done", 0, ())
+        self._notify_parent(pid)
 
-    def _spawn(self, proc: Process, cobegin: Cobegin) -> None:
-        proc.continuation = proc.continuation[1:]
-        proc.status = "joining"
-        proc.pending_children = len(cobegin.branches)
-        children: List[Pid] = []
-        for i, branch in enumerate(cobegin.branches):
-            child = Process(proc.pid + (i,), (branch,), spawner=cobegin)
-            self.processes[child.pid] = child
-            children.append(child.pid)
+    def _spawn(self, pid: Pid, cobegin: Cobegin, rest: Tuple[ContItem, ...]) -> None:
+        branches = cobegin.branches
+        self.processes[pid] = Process(pid, "joining", len(branches), rest)
+        children = [pid + (i,) for i in range(len(branches))]
+        for child, branch in zip(children, branches):
+            self.processes[child] = Process(child, "ready", 0, (branch,))
+        # The only place new pids appear: restore pid order.
+        self.processes = dict(sorted(self.processes.items()))
         if self.monitor is not None:
-            self.monitor.on_spawn(proc.pid, children)
+            self.monitor.on_spawn(pid, children)
         if len(self.processes) > self.peak_processes:
             self.peak_processes = len(self.processes)
-        for pid in children:
-            self._normalize(self.processes[pid])
+        for child, branch in zip(children, branches):
+            self._settle(child, (branch,))
 
-    def _notify_parent(self, child: Process) -> None:
-        if not child.pid:
+    def _notify_parent(self, child: Pid) -> None:
+        if not child:
             return  # the root has no parent
-        parent = self.processes[child.pid[:-1]]
+        pid = child[:-1]
+        parent = self.processes[pid]
         if parent.status != "joining":  # pragma: no cover - invariant
-            raise RuntimeFault(f"child {child.pid!r} finished but parent is not joining")
-        parent.pending_children -= 1
+            raise RuntimeFault(f"child {child!r} finished but parent is not joining")
         if self.monitor is not None:
-            self.monitor.on_child_done(parent.pid, child.pid)
-        if parent.pending_children == 0:
-            if self.monitor is not None:
-                self.monitor.on_join(parent.pid)
-            # Children have terminated; drop their table entries so the
-            # snapshot space stays small and pids can be reused by a
-            # later cobegin in the same parent.
-            for pid in list(self.processes):
-                if pid != parent.pid and pid[: len(parent.pid)] == parent.pid:
-                    del self.processes[pid]
-            parent.status = "ready"
-            self._normalize(parent)
+            self.monitor.on_child_done(pid, child)
+        if parent.pending_children > 1:
+            self.processes[pid] = Process(
+                pid, "joining", parent.pending_children - 1, parent.continuation
+            )
+            return
+        if self.monitor is not None:
+            self.monitor.on_join(pid)
+        # Children have terminated; drop their table entries so the
+        # snapshot space stays small and pids can be reused by a later
+        # cobegin in the same parent.
+        for other in list(self.processes):
+            if other != pid and other[: len(pid)] == pid:
+                del self.processes[other]
+        self._settle(pid, parent.continuation)
 
     def stats(self) -> Dict[str, int]:
         """Volatile run counters (steps, live and peak process counts).
@@ -348,20 +355,20 @@ class Machine:
 
     def snapshot(self) -> Tuple:
         """A hashable canonical state (store + live process table + monitor)."""
-        store_part = tuple(sorted(self.store.items()))
-        proc_part = tuple(
-            self.processes[pid].key() for pid in sorted(self.processes)
+        return (
+            tuple(sorted(self.store.items())),
+            tuple(self.processes.values()),
+            self.monitor.snapshot() if self.monitor is not None else None,
         )
-        monitor_part = self.monitor.snapshot() if self.monitor is not None else None
-        return (store_part, proc_part, monitor_part)
 
     def copy(self) -> "Machine":
-        """An independent copy (shared AST, copied store/processes/monitor)."""
+        """An independent copy (shared AST and process records; copied
+        store, process table and monitor)."""
         clone = object.__new__(Machine)
         clone.subject = self.subject
         clone.store = dict(self.store)
         clone.monitor = self.monitor.copy() if self.monitor is not None else None
-        clone.processes = {pid: proc.clone() for pid, proc in self.processes.items()}
+        clone.processes = dict(self.processes)
         clone.steps_taken = self.steps_taken
         clone.peak_processes = self.peak_processes
         return clone

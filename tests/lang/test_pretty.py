@@ -1,12 +1,14 @@
 """Pretty-printer output and parse/print round-trips."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.lang.parser import parse_expression, parse_program, parse_statement
 from repro.lang.pretty import pretty, pretty_expr
 from repro.workloads.generators import random_program
 from repro.workloads.paper import FIGURE3_SOURCE, paper_programs
+from tests.lang.test_structural_roundtrip import assert_structurally_equal
 
 
 def roundtrips(source: str) -> None:
@@ -32,6 +34,25 @@ def test_not_and_comparison():
 def test_unary_minus():
     assert pretty_expr(parse_expression("-a + b")) == "-a + b"
     assert pretty_expr(parse_expression("-(a + b)")) == "-(a + b)"
+
+
+@pytest.mark.parametrize(
+    "source,text",
+    [
+        # "--" opens a comment, so two minus signs keep a space apart
+        ("x := - - h", "x := - -h"),
+        ("x := -(-1)", "x := - -1"),
+        ("x := -(-(-h))", "x := - - -h"),
+        # a binary minus already prints with a space
+        ("x := 1 - -h", "x := 1 - -h"),
+    ],
+)
+def test_negated_negation_survives_a_round_trip(source, text):
+    stmt = parse_statement(source)
+    assert pretty(stmt) == text
+    reparsed = parse_statement(text)
+    assert pretty(reparsed) == text
+    assert_structurally_equal(stmt, reparsed, source)
 
 
 def test_statement_rendering():

@@ -223,6 +223,27 @@ def test_unserializable_result_leaves_no_tmp_litter(tmp_path):
     assert cache.get("ab" + "0" * 62) is None
 
 
+def test_entry_file_holds_the_sorted_key_json_of_its_payload(tmp_path):
+    # the on-disk bytes are pinned: entries written before and after any
+    # change to how the cache encodes them must stay readable
+    cache = ResultCache(str(tmp_path / "c"))
+    key = "cd" + "0" * 62
+    result = {"zeta": [1, "\u00e9", None], "alpha": {"b": True, "a": 2.5}}
+    assert cache.put(key, "explore", result)
+    (path,) = [
+        os.path.join(root, name)
+        for root, _, names in os.walk(tmp_path)
+        for name in names
+    ]
+    with open(path, "rb") as handle:
+        stored = handle.read()
+    expected = json.dumps(
+        {"analysis": "explore", "key": key, "result": result}, sort_keys=True
+    )
+    assert stored == expected.encode("utf-8")
+    assert cache.get(key) == result
+
+
 # -- key hygiene (regression: default=list silently coerced non-JSON) --------
 
 

@@ -113,6 +113,18 @@ def test_every_registered_analysis_runs_on_a_simple_program():
     assert entry["metrics"]["statements"] == 3
 
 
+def test_double_negation_survives_the_worker_reparse():
+    # workers re-parse the pretty-printed text: "--h" would be a comment
+    from repro.lang.parser import parse_program
+
+    corpus = [("neg", parse_program("var h, x : integer;\nx := - - h"))]
+    result = run_pipeline(corpus, analyses=("cert", "explore"), use_cache=False)
+    cells = result.program("neg")["analyses"]
+    assert "error" not in cells["cert"] and "error" not in cells["explore"]
+    assert cells["cert"]["certified"] is False  # x := - - h is an explicit flow
+    assert not result.errors()
+
+
 def test_cli_batch_human_output(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
     code = main(
