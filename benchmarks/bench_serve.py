@@ -13,8 +13,8 @@ real ``repro serve`` subprocess, emitted as ``BENCH_serve.json``:
   slots: the admission layer must refuse (nonzero 429s) while
   ``/healthz`` keeps answering 200 throughout.
 * **service counters** — the server's own ``/metrics`` document
-  (``admission``, ``tenants``, per-shard pools), schema-validated, plus
-  a clean SIGTERM drain.
+  (``admission``, ``tenants``, ``pool``), schema-validated, plus a
+  clean SIGTERM drain.
 
 Every field in the artifact is measured against the live server —
 nothing is hand-written.  Run standalone
@@ -38,7 +38,6 @@ def main(argv=None) -> int:
         help="short phases, few clients (CI per-PR mode)",
     )
     parser.add_argument("--jobs", type=int, default=2)
-    parser.add_argument("--shards", type=int, default=2)
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -46,7 +45,6 @@ def main(argv=None) -> int:
             duration=2.0,
             clients=4,
             jobs=args.jobs,
-            shards=args.shards,
             max_queue=6,
             overload_clients=12,
             overload_seconds=2.0,
@@ -57,7 +55,6 @@ def main(argv=None) -> int:
             duration=10.0,
             clients=16,
             jobs=args.jobs,
-            shards=args.shards,
             max_queue=16,
             overload_clients=32,
             overload_seconds=5.0,

@@ -13,8 +13,8 @@ Subcommands::
     batch    [PROGRAM...] [--corpus litmus] --analyses cert,lint
              [--jobs 4] [--chunk-size N] [--cache-dir DIR]
              [--no-cache] [--json]
-    serve    [--host 127.0.0.1] [--port 8765] [--jobs 2] [--shards N]
-             [--max-queue N] [--tenant-rps RATE] [--chunk-size N]
+    serve    [--host 127.0.0.1] [--port 8765] [--jobs 2]
+             [--max-queue N] [--tenant-rps RATE]
              [--lru-size N] [--deadline SECONDS]
     loadtest [--duration 10] [--clients 8] [--overload-clients 32]
              [--smoke] [--out FILE]
@@ -635,14 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 2; 1 = analyse in-process)",
     )
     sub.add_argument(
-        "--chunk-size",
-        type=_COUNT,
-        default=None,
-        metavar="N",
-        help="(program, analysis) cells dispatched per worker task "
-        "(default: auto-sized per request)",
-    )
-    sub.add_argument(
         "--cache-dir",
         default=".repro-cache",
         metavar="DIR",
@@ -673,14 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-fastpath",
         action="store_true",
         help="disable the fused certifier fast path for every request",
-    )
-    sub.add_argument(
-        "--shards",
-        type=_COUNT,
-        default=1,
-        metavar="N",
-        help="independent worker pools, requests routed by "
-        "coalescing-key hash (default: 1; ignored when --jobs 1)",
     )
     sub.add_argument(
         "--max-queue",
@@ -736,13 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         metavar="N",
         help="worker processes for the spawned server (default: 2)",
-    )
-    sub.add_argument(
-        "--shards",
-        type=_COUNT,
-        default=2,
-        metavar="N",
-        help="worker-pool shards for the spawned server (default: 2)",
     )
     sub.add_argument(
         "--max-queue",
@@ -1044,8 +1021,6 @@ def _cmd_serve(args) -> int:
         lru_capacity=0 if args.no_cache else args.lru_size,
         default_deadline=args.deadline,
         default_config={"fastpath": False} if args.no_fastpath else None,
-        chunk_size=args.chunk_size,
-        shards=args.shards,
         max_queue=args.max_queue,
         tenant_rps=args.tenant_rps,
         tenant_burst=args.tenant_burst,
@@ -1065,7 +1040,6 @@ def _cmd_loadtest(args) -> int:
         duration=2.0 if args.smoke else args.duration,
         clients=4 if args.smoke else args.clients,
         jobs=args.jobs,
-        shards=args.shards,
         max_queue=args.max_queue,
         tenant_rps=args.tenant_rps,
         overload_clients=(

@@ -37,11 +37,12 @@ behind ``repro batch --metrics out.json``:
     cache hits), and the limit or error type where applicable;
 ``service`` (optional)
     present in documents served by a resident ``repro serve`` process:
-    request totals, the in-flight and waiting gauges, the
-    coalesced-request count, the in-memory LRU tier's counters, the
-    shard count, client-disconnect and body-bytes-read counters, the
-    ``admission`` sub-section (admitted / rejected_busy / rate_limited
-    / aborted, plus the configured ``max_queue``), and per-tenant
+    request totals, the in-flight and waiting gauges, the retired
+    ``coalesced`` count (always 0), the in-memory LRU tier's counters,
+    the worker pool's counters under ``pool``, client-disconnect and
+    body-bytes-read counters, the ``admission`` sub-section (admitted
+    / rejected_busy / rate_limited / aborted, plus the configured
+    ``max_queue``), and per-tenant
     request/rate-limit counters under ``tenants`` (see
     ``docs/service.md``);
 ``fuzz`` (optional)
@@ -223,7 +224,7 @@ class MetricsAggregator(TraceEmitter):
         aggregator's whole lifetime even when ``max_items`` has trimmed
         older per-cell records out of ``items``.  ``service`` (counters
         from a resident ``repro serve`` process — requests, in-flight,
-        LRU hits/misses, coalesced) is included verbatim when given, as
+        LRU hits/misses, pool) is included verbatim when given, as
         is ``fuzz`` (the differential-fuzzing campaign counters).
         """
         with self._lock:
@@ -328,7 +329,7 @@ def validate_metrics(doc: object) -> List[str]:
         else:
             for key in ("requests", "in_flight", "waiting", "coalesced",
                         "lru_hits", "lru_misses", "client_disconnects",
-                        "bytes_read", "shards"):
+                        "bytes_read"):
                 if not isinstance(service.get(key), int):
                     problems.append(f"service.{key} missing or non-integer")
             admission = service.get("admission")

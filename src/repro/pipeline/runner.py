@@ -551,22 +551,10 @@ class WorkerPool:
     guarantee.
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        chunk_size: Optional[int] = None,
-        label: Optional[str] = None,
-    ):
+    def __init__(self, jobs: int):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.jobs = jobs
-        self.chunk_size = chunk_size
-        #: Optional display name (the sharded service labels each
-        #: shard's pool) — carried on ``pool_start`` events so a trace
-        #: can attribute worker startups to the shard that paid them.
-        self.label = label
         self.submitted = 0
         self.pools_started = 0
         self._ctx = _pool_context()
@@ -586,12 +574,7 @@ class WorkerPool:
                     max_workers=self.jobs, mp_context=self._ctx
                 )
                 self.pools_started += 1
-                if self.label is not None:
-                    observer.event(
-                        "pool_start", workers=self.jobs, label=self.label
-                    )
-                else:
-                    observer.event("pool_start", workers=self.jobs)
+                observer.event("pool_start", workers=self.jobs)
             return self._executor
 
     def _discard(self, executor) -> None:
@@ -616,12 +599,19 @@ class WorkerPool:
             future.result()
 
     def close(self) -> None:
-        """Shut the executor down; the pool cannot be reused after."""
+        """Shut the executor down and join it; the pool cannot be reused.
+
+        Call it after the last ``run`` has returned.  Joining keeps the
+        executor's manager thread from outliving the pool: at exit,
+        ``concurrent.futures`` writes to that thread's wakeup pipe,
+        which a thread still shutting down may be closing (``OSError:
+        [Errno 9] Bad file descriptor``).
+        """
         with self._lock:
             executor, self._executor = self._executor, None
             self._closed = True
         if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+            executor.shutdown(wait=True, cancel_futures=True)
 
     def run(
         self,
@@ -635,8 +625,8 @@ class WorkerPool:
 
         Returns one envelope per task, in task order (so the assembled
         document never depends on completion order).  Cells are
-        dispatched in chunks of ``chunk_size`` (default: the pool's
-        knob, else auto-sized — see :func:`_auto_chunk_size`): each
+        dispatched in chunks of ``chunk_size`` (default: auto-sized —
+        see :func:`_auto_chunk_size`): each
         chunk is one submitted :func:`_run_chunk` task returning a
         batched list of envelopes, with per-cell exception isolation
         inside the chunk.  When a worker dies the broken executor is
@@ -657,8 +647,6 @@ class WorkerPool:
 
         if fn is None:
             fn = _compute
-        if chunk_size is None:
-            chunk_size = self.chunk_size
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         results: List[Optional[dict]] = [None] * len(payloads)

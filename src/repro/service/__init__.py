@@ -2,14 +2,12 @@
 
 ``repro serve`` keeps one process resident so repeated analysis of
 similar programs pays for analysis, never for startup: a persistent
-pre-forked worker pool, an in-memory LRU in front of the on-disk
-content-addressed cache, and coalescing of concurrent identical
-requests.  The response document is byte-identical to
+pre-forked worker pool and an in-memory LRU in front of the on-disk
+content-addressed cache.  The response document is byte-identical to
 ``repro batch --json`` for the same inputs — the service adds speed,
 never a second result format.  The front line degrades predictably:
 a bounded admission gauge and per-tenant token buckets turn overload
-into cheap 429s (with ``Retry-After``), and ``--shards`` splits the
-worker pool so one hot key cannot head-of-line-block the rest.
+into cheap 429s (with ``Retry-After``).
 ``repro loadtest`` (:mod:`repro.service.loadtest`) measures all of it
 against a live spawned server.  See ``docs/service.md``.
 """

@@ -12,18 +12,15 @@ around the CLI:
   (:class:`repro.pipeline.MemoryLRU`) in front of the on-disk
   content-addressed store, keyed by the same ``cache_key``; a warm hit
   is served without touching the pool at all;
-* **request coalescing** — concurrent identical submissions (same
-  canonical programs, analyses, and config) share one computation and
-  all receive its result;
 * **admission control** — a bounded admission gauge (429 with a
   ``Retry-After`` hint once ``in_flight + waiting`` would exceed
   ``max_queue``) and optional per-tenant token-bucket rate limits
   (:class:`repro.observe.TokenBucket`, keyed by the transport's
   ``X-Repro-Tenant`` header), so overload degrades into cheap explicit
-  refusals instead of an unbounded thread pile-up;
-* **sharded worker pools** — ``shards > 1`` splits the workers into
-  independent pools routed by coalescing-key hash, so one heavy
-  request stream cannot head-of-line-block every other key.
+  refusals instead of an unbounded thread pile-up.
+
+Every admitted request takes one path: decode, parse and validate,
+``run_pipeline`` on the service's one cache and one pool, render.
 
 The response contract is strict: for any (program, analyses, config)
 the ``POST /analyze`` body is byte-identical to the ``repro batch
@@ -36,17 +33,14 @@ behaviour.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 import time
 import traceback
-from concurrent.futures import Future
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import repro
 from repro.lang.parser import parse_program, parse_statement
-from repro.lang.pretty import pretty
 from repro.lang.validate import validate_program
 from repro.observe import MetricsAggregator, TokenBucket
 from repro.pipeline import (
@@ -106,14 +100,12 @@ class AnalysisService:
 
     The HTTP layer (:mod:`repro.service.httpd`) owns sockets and
     signals; everything about *analysis* — parsing requests, the cache
-    tiers, the pool, coalescing, metrics — lives here, which is what
-    the test suite drives directly.
+    tiers, the pool, metrics — lives here, which is what the test
+    suite drives directly.
 
     ``jobs=1`` runs analyses in-process (no pool); ``jobs > 1`` keeps
-    persistent pre-forked pools — ``shards`` of them, each with
-    ``ceil(jobs / shards)`` workers, with requests routed by
-    coalescing-key hash so a heavy key saturates one shard, not all of
-    them.  ``cache_dir=None`` disables the disk tier, ``lru_capacity=0``
+    one persistent pre-forked pool of ``jobs`` workers, shared by every
+    request.  ``cache_dir=None`` disables the disk tier, ``lru_capacity=0``
     the memory tier; with both disabled every request recomputes.
     ``default_deadline`` applies to requests that do not set
     ``config.deadline`` themselves (``None`` = unlimited).
@@ -121,10 +113,10 @@ class AnalysisService:
     (per-request values always win) — ``repro serve --no-fastpath``
     passes ``{"fastpath": False}`` through it.
 
-    Admission: ``max_queue`` bounds ``in_flight + waiting`` (leaders
-    running the pipeline plus admitted requests parsing or waiting on a
-    coalesced future); a request over the bound is a 429, never a
-    queued thread.  ``tenant_rps`` (with ``tenant_burst``, default
+    Admission: ``max_queue`` bounds ``in_flight + waiting`` (requests
+    running the pipeline plus admitted requests still parsing); a
+    request over the bound is a 429, never a queued thread.
+    ``tenant_rps`` (with ``tenant_burst``, default
     ``max(1, tenant_rps)``) enables one :class:`TokenBucket` per tenant.
     """
 
@@ -135,36 +127,20 @@ class AnalysisService:
         lru_capacity: int = 4096,
         default_deadline: Optional[float] = None,
         default_config: Optional[dict] = None,
-        chunk_size: Optional[int] = None,
-        shards: int = 1,
         max_queue: int = 64,
         tenant_rps: Optional[float] = None,
         tenant_burst: Optional[float] = None,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if tenant_rps is not None and tenant_rps <= 0:
             raise ValueError(f"tenant_rps must be > 0, got {tenant_rps}")
         self.jobs = jobs
-        # Sharding splits the *pool*; without one there is nothing to
-        # split and every request runs in-process on its own thread.
-        self.shards = shards if jobs > 1 else 1
-        self.chunk_size = chunk_size
         self.default_deadline = default_deadline
         self.default_config = dict(default_config or {})
-        per_shard = -(-jobs // self.shards)  # ceil: never a 0-worker shard
-        self.pools: List[WorkerPool] = (
-            [
-                WorkerPool(per_shard, label=f"shard-{i}")
-                for i in range(self.shards)
-            ]
-            if jobs > 1
-            else []
-        )
+        self.pool: Optional[WorkerPool] = WorkerPool(jobs) if jobs > 1 else None
         disk = ResultCache(cache_dir) if cache_dir else None
         if disk is None and lru_capacity == 0:
             self.cache: Optional[TieredCache] = None
@@ -174,13 +150,11 @@ class AnalysisService:
         self.draining = False
         self.started_at = time.monotonic()
         self.requests = 0
-        self.coalesced = 0
         self.rejected = 0
         self.in_flight = 0
-        #: Admitted requests *not* currently running the pipeline:
-        #: leaders still parsing/routing plus coalesced followers
-        #: blocked on another leader's future.  The drain joins these
-        #: threads too, so they are first-class in every snapshot.
+        #: Admitted requests still parsing, not yet running the
+        #: pipeline.  The drain joins these threads too, so they are
+        #: first-class in every snapshot.
         self.waiting = 0
         self.max_queue = max_queue
         self.tenant_rps = tenant_rps
@@ -196,14 +170,13 @@ class AnalysisService:
         self.body_bytes_read = 0
         self._buckets: Dict[str, TokenBucket] = {}
         self._lock = threading.Lock()
-        self._inflight: Dict[str, Future] = {}
 
     # -- lifecycle -----------------------------------------------------
 
     def warm(self) -> None:
-        """Pre-fork every shard's workers (before serving threads exist)."""
-        for pool in self.pools:
-            pool.warm(self.observer)
+        """Pre-fork the pool's workers (before serving threads exist)."""
+        if self.pool is not None:
+            self.pool.warm(self.observer)
 
     def begin_drain(self) -> None:
         """Refuse new work; in-flight requests run to completion."""
@@ -211,14 +184,9 @@ class AnalysisService:
             self.draining = True
 
     def close(self) -> None:
-        """Tear down the worker pools."""
-        for pool in self.pools:
-            pool.close()
-
-    @property
-    def pool(self) -> Optional[WorkerPool]:
-        """The first shard's pool (the whole pool when ``shards == 1``)."""
-        return self.pools[0] if self.pools else None
+        """Tear down the worker pool."""
+        if self.pool is not None:
+            self.pool.close()
 
     # -- request handling ---------------------------------------------
 
@@ -245,7 +213,7 @@ class AnalysisService:
         (``Retry-After`` = seconds until the bucket refills), 429
         admission bound (``in_flight + waiting`` would exceed
         ``max_queue``), 400 malformed request.  Only an admitted,
-        validated request reaches the coalescing map and the pool.
+        validated request reaches the cache and the pool.
         """
         tenant_name = tenant or DEFAULT_TENANT
         with self._lock:
@@ -294,42 +262,20 @@ class AnalysisService:
         return status, body, {}
 
     def _admitted(self, raw: bytes) -> Tuple[int, bytes]:
-        """Parse, coalesce, and run one admitted request body."""
+        """Decode, parse and run one admitted request body."""
         try:
             request = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
             return self._reject("request body is not valid JSON", 400)
         try:
             corpus, analyses, config = self._parse_request(request)
-            key = self._coalescing_key(corpus, analyses, config)
         except ServiceError as exc:
             return self._reject(str(exc), exc.status)
         except Exception:
-            # anything else escaping parse, validation or keying is a
-            # service bug: answer it, never drop the connection
+            # anything else escaping parse or validation is a service
+            # bug: answer it, never drop the connection
             return self._abort()
-        with self._lock:
-            future = self._inflight.get(key)
-            leader = future is None
-            if leader:
-                future = Future()
-                self._inflight[key] = future
-            else:
-                self.coalesced += 1
-        if leader:
-            try:
-                outcome = self._run(corpus, analyses, config, key)
-            except BaseException:
-                # never leave followers hanging on a dead future
-                outcome = (500, _error_body("internal service error", 500))
-                future.set_result(outcome)
-                with self._lock:
-                    self._inflight.pop(key, None)
-                raise
-            future.set_result(outcome)
-            with self._lock:
-                self._inflight.pop(key, None)
-        return future.result()
+        return self._run(corpus, analyses, config)
 
     def _reject(self, message: str, status: int) -> Tuple[int, bytes]:
         with self._lock:
@@ -374,12 +320,7 @@ class AnalysisService:
                 self._buckets[name] = bucket
             return bucket
 
-    def _shard_for(self, key: str) -> int:
-        """Route a coalescing key to a shard (stable, uniform)."""
-        return int(key[:8], 16) % self.shards
-
-    def _run(self, corpus, analyses, config, key: str) -> Tuple[int, bytes]:
-        pool = self.pools[self._shard_for(key)] if self.pools else None
+    def _run(self, corpus, analyses, config) -> Tuple[int, bytes]:
         with self._lock:
             # this thread graduates from *waiting* to *running*; the
             # caller's finally decrements waiting exactly once, so put
@@ -390,13 +331,12 @@ class AnalysisService:
             result = run_pipeline(
                 corpus,
                 analyses=analyses,
-                jobs=pool.jobs if pool is not None else self.jobs,
+                jobs=self.jobs,
                 config=config,
                 cache=self.cache,
                 use_cache=self.cache is not None,
-                pool=pool,
+                pool=self.pool,
                 observer=self.observer,
-                chunk_size=self.chunk_size,
             )
         except Exception:
             # Request-level validation already happened in
@@ -440,6 +380,8 @@ class AnalysisService:
             isinstance(a, str) for a in analyses
         ):
             raise ServiceError("'analyses' must be an array of analysis names")
+        if not analyses:
+            raise ServiceError("'analyses' must name at least one analysis")
         for name in analyses:
             # validate *here*, before any pipeline work: an unknown
             # name must be a 400, and the pipeline's own ValueError
@@ -487,6 +429,7 @@ class AnalysisService:
             ]
 
         corpus = []
+        names = set()
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise ServiceError(f"programs[{i}] must be an object")
@@ -498,6 +441,13 @@ class AnalysisService:
             name = entry.get("name", f"program-{i}")
             if not isinstance(name, str) or not name:
                 raise ServiceError(f"programs[{i}].name must be a string")
+            if name in names:
+                # an unnamed entry defaults to program-<i>, which an
+                # explicit name can already hold
+                raise ServiceError(
+                    f"programs[{i}].name {name!r} repeats an earlier name"
+                )
+            names.add(name)
             kind = entry.get("kind", "program")
             if kind not in ("program", "statement"):
                 raise ServiceError(
@@ -519,25 +469,6 @@ class AnalysisService:
             corpus.append((name, subject))
 
         return corpus, tuple(analyses), config
-
-    def _coalescing_key(self, corpus, analyses, config) -> str:
-        """One hash for "the same work": canonical programs (so
-        formatting-only differences coalesce, exactly like the cache),
-        the analysis set, the config overlay, and the code version."""
-        document = json.dumps(
-            {
-                "programs": sorted(
-                    (name, pretty(subject)) for name, subject in corpus
-                ),
-                "analyses": sorted(analyses),
-                "config": config,
-                "version": repro.__version__,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-            default=str,
-        )
-        return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
     # -- introspection -------------------------------------------------
 
@@ -567,12 +498,13 @@ class AnalysisService:
                 "requests": self.requests,
                 "in_flight": self.in_flight,
                 "waiting": self.waiting,
-                "coalesced": self.coalesced,
+                # retired with request coalescing; kept at 0 because
+                # existing readers still look the key up
+                "coalesced": 0,
                 "rejected": self.rejected,
                 "draining": self.draining,
                 "client_disconnects": self.client_disconnects,
                 "bytes_read": self.body_bytes_read,
-                "shards": self.shards,
                 "uptime_seconds": self.uptime_seconds(),
                 "lru_hits": lru["hits"] if lru else 0,
                 "lru_misses": lru["misses"] if lru else 0,
@@ -584,25 +516,12 @@ class AnalysisService:
             }
         if lru is not None:
             counters["lru"] = lru
-        if self.pools:
-            shards = [
-                {
-                    "jobs": pool.jobs,
-                    "submitted": pool.submitted,
-                    "pools_started": pool.pools_started,
-                }
-                for pool in self.pools
-            ]
-            # "pool" stays the cross-shard aggregate so existing
-            # dashboards keep one number; per-shard detail rides along
-            # only when there is more than one shard to tell apart.
+        if self.pool is not None:
             counters["pool"] = {
-                "jobs": sum(s["jobs"] for s in shards),
-                "submitted": sum(s["submitted"] for s in shards),
-                "pools_started": sum(s["pools_started"] for s in shards),
+                "jobs": self.pool.jobs,
+                "submitted": self.pool.submitted,
+                "pools_started": self.pool.pools_started,
             }
-            if len(shards) > 1:
-                counters["pools"] = shards
         return counters
 
     def metrics_document(self) -> Dict[str, object]:

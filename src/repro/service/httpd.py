@@ -14,7 +14,8 @@ Three endpoints, all JSON:
     503 ``{"status": "draining", ...}`` once shutdown has begun.
 ``GET /metrics``
     the cumulative ``repro-metrics/1`` document with the ``service``
-    section (requests, in-flight, coalesced, LRU counters).
+    section (requests, in-flight and waiting gauges, LRU and pool
+    counters, admission).
 
 Shutdown contract: SIGTERM (or SIGINT) starts a **drain** — the
 listening socket stops accepting, new requests are refused with 503,
@@ -66,7 +67,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):
             # The client gave up mid-response.  Its analysis already
-            # ran (and is cached/coalescable) — that is a disconnect
+            # ran (and is cached) — that is a disconnect
             # counter, not a failed request, and certainly not a
             # traceback per impatient client under overload.
             self.server.service.note_client_disconnect()
@@ -196,8 +197,7 @@ def serve(
     service.warm()  # fork workers before the first request thread exists
     print(
         f"repro-serve: listening on http://{host}:{server.port} "
-        f"(jobs={service.jobs}, shards={service.shards}, "
-        f"max_queue={service.max_queue}, cache="
+        f"(jobs={service.jobs}, max_queue={service.max_queue}, cache="
         f"{'off' if service.cache is None else 'on'})",
         flush=True,
     )

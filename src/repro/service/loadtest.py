@@ -14,8 +14,8 @@ Four phases:
    per-request latency and status; sustained RPS and p50/p95/p99 come
    from here.
 3. **overload** — ``overload_clients`` threads hammer *unique*
-   divergent programs (defeating both coalescing and the caches) so
-   admission control must refuse; the driver counts the 429s and polls
+   divergent programs (defeating both cache tiers) so admission
+   control must refuse; the loadtest counts the 429s and polls
    ``/healthz`` throughout to prove the health plane stays responsive.
 4. **teardown** — ``/metrics`` is fetched and schema-validated, then
    SIGTERM; a clean drain-and-exit is part of the report.
@@ -61,7 +61,7 @@ _ANNOUNCE = re.compile(r"listening on http://([\d.]+):(\d+)")
 
 #: The steady-phase corpus: a small mixed bag — the paper's Figure 3
 #: program under two analysis sets plus two cheap statements — chosen
-#: so coalescing, both cache tiers, and the pool all see traffic.
+#: so both cache tiers and the pool see traffic.
 STEADY_CORPUS: Tuple[Dict[str, object], ...] = (
     {
         "name": "figure3.rl",
@@ -103,7 +103,6 @@ class LoadtestOptions:
     duration: float = 10.0
     clients: int = 8
     jobs: int = 2
-    shards: int = 2
     max_queue: int = 16
     tenant_rps: Optional[float] = None
     overload_clients: int = 32
@@ -154,7 +153,7 @@ def _steady_requests() -> List[Tuple[bytes, bytes]]:
 def _overload_body(serial: int) -> bytes:
     """A unique, divergent, deadline-bound request.
 
-    Unique variable names defeat coalescing and both cache tiers, the
+    Unique variable names defeat both cache tiers, the
     unbounded loop with huge state/depth budgets makes the deadline
     the binding limit — every admitted request genuinely occupies a
     worker for ~``deadline`` seconds, which is what fills the
@@ -226,7 +225,6 @@ def _spawn_server(options: LoadtestOptions, cache_dir: str):
         "--host", options.host,
         "--port", "0",
         "--jobs", str(options.jobs),
-        "--shards", str(options.shards),
         "--max-queue", str(options.max_queue),
         "--cache-dir", cache_dir,
         "--quiet",
@@ -399,7 +397,6 @@ def run_loadtest(options: LoadtestOptions) -> Dict[str, object]:
             "version": repro.__version__,
             "smoke": options.smoke,
             "jobs": options.jobs,
-            "shards": options.shards,
             "max_queue": options.max_queue,
             "identity": {
                 "documents": identity_checked,

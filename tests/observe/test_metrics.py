@@ -157,7 +157,6 @@ def _service_section():
         "draining": False,
         "client_disconnects": 0,
         "bytes_read": 128,
-        "shards": 2,
         "uptime_seconds": 1.0,
         "lru_hits": 1,
         "lru_misses": 2,
@@ -206,8 +205,6 @@ def test_validator_requires_admission_and_tenant_counters():
     service = _service_section()
     del service["client_disconnects"]
     del service["bytes_read"]
-    del service["shards"]
     problems = validate_metrics(_doc_with_service(service))
     assert any("client_disconnects" in p for p in problems)
     assert any("bytes_read" in p for p in problems)
-    assert any("shards" in p for p in problems)

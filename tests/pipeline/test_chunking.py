@@ -140,8 +140,6 @@ def test_chunk_size_is_validated():
     from repro.pipeline.runner import WorkerPool
 
     with pytest.raises(ValueError, match="chunk_size"):
-        WorkerPool(2, chunk_size=0)
-    with pytest.raises(ValueError, match="chunk_size"):
         pool = WorkerPool(2)
         try:
             pool.run([], [], None, chunk_size=-1)

@@ -382,3 +382,30 @@ def test_run_span_lands_in_the_metrics_document():
     assert span["jobs"] == 1
     assert span["tasks"] == 2
     assert isinstance(span["seconds"], float)
+
+
+# -- pool lifetime (regression: close() left the executor shutting down
+#    in the background, so its manager thread outlived the run) ----------
+
+
+@pytest.mark.parametrize("entry", ["run_pipeline", "run_fuzz"])
+def test_a_run_owned_pool_is_joined_before_the_run_returns(entry):
+    import threading
+    from concurrent.futures.process import _ExecutorManagerThread
+
+    from repro.fuzz import run_fuzz
+
+    def managers():
+        return {
+            thread for thread in threading.enumerate()
+            if isinstance(thread, _ExecutorManagerThread)
+        }
+
+    before = managers()
+    if entry == "run_pipeline":
+        run_pipeline(
+            litmus_corpus()[:2], analyses=("cert",), jobs=2, use_cache=False
+        )
+    else:
+        run_fuzz(seeds=2, oracles=("cert-equiv",), jobs=2)
+    assert managers() - before == set()

@@ -1,11 +1,11 @@
-"""The serve front-line: admission control, tenants, shards, 500s.
+"""The serve front-line: admission control, tenants, the one path, 500s.
 
 In-process tests of :class:`repro.service.AnalysisService` covering
 the layer in front of the pipeline: the bounded admission gauge
-(429 + ``Retry-After``), per-tenant token buckets, coalesced-follower
-accounting in the ``waiting`` gauge, shard routing, and the
-client-error/server-error split (unknown names are 400s decided
-before the pipeline; anything escaping the pipeline is a 500).
+(429 + ``Retry-After``), per-tenant token buckets, concurrent
+requests each running the pipeline, and the client-error/server-error
+split (unknown names are 400s decided before the pipeline; anything
+escaping the pipeline is a 500).
 """
 
 import json
@@ -13,10 +13,8 @@ import threading
 
 import pytest
 
-from repro.pipeline import run_pipeline
 from repro.service import AnalysisService
 from repro.service import app as app_module
-from repro.workloads.paper import FIGURE3_SOURCE, figure3_program
 
 TINY = {"program": "l := 1", "kind": "statement", "name": "tiny",
         "analyses": ["cert"]}
@@ -161,87 +159,47 @@ def test_unknown_names_are_400s_decided_before_the_pipeline(monkeypatch):
     assert svc.admission["aborted"] == 0
 
 
-def test_waiting_gauge_counts_coalesced_followers(monkeypatch):
+def test_concurrent_identical_requests_each_run_the_pipeline(monkeypatch):
     gate = _GatedPipeline()
-    monkeypatch.setattr(app_module, "run_pipeline", gate)
+    both_inside = threading.Barrier(2)
+
+    def pipeline(*args, **kwargs):
+        # passes only once both requests are inside the pipeline at once
+        both_inside.wait(timeout=30)
+        return gate(*args, **kwargs)
+
+    monkeypatch.setattr(app_module, "run_pipeline", pipeline)
     svc = AnalysisService(jobs=1, cache_dir=None, lru_capacity=0)
 
     results = []
-
-    def submit():
-        results.append(svc.analyze_json(body()))
-
-    leader = threading.Thread(target=submit)
-    leader.start()
-    assert gate.entered.wait(timeout=30)
-    follower = threading.Thread(target=submit)
-    follower.start()
+    threads = [
+        threading.Thread(target=lambda: results.append(svc.analyze_json(body())))
+        for _ in range(2)
+    ]
+    for thread in threads:
+        thread.start()
     try:
-        # the follower holds a thread the drain will join — it must be
-        # visible in the health document, not just the leader
-        deadline = threading.Event()
-        for _ in range(200):
-            if svc.coalesced == 1:
-                break
-            deadline.wait(0.05)
-        assert svc.coalesced == 1
+        assert gate.entered.wait(timeout=30)
         status, health = svc.health_document()
         assert status == 200
-        assert health["in_flight"] == 1
-        assert health["waiting"] >= 1
+        assert (health["in_flight"], health["waiting"]) == (2, 0)
     finally:
         gate.release.set()
-        leader.join(timeout=30)
-        follower.join(timeout=30)
+        for thread in threads:
+            thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
     assert results == [(200, b"{}\n"), (200, b"{}\n")]
-    assert gate.calls == 1
     assert (svc.in_flight, svc.waiting) == (0, 0)
-
-
-def test_sharded_pools_route_by_key_and_stay_byte_identical():
-    svc = AnalysisService(jobs=2, shards=2, cache_dir=None, lru_capacity=0)
-    try:
-        assert len(svc.pools) == 2
-        assert svc.pool is svc.pools[0]  # backwards-compatible alias
-        assert [pool.label for pool in svc.pools] == ["shard-0", "shard-1"]
-
-        raw = json.dumps({
-            "program": FIGURE3_SOURCE, "name": "figure3.rl",
-            "analyses": ["cert", "lint"],
-        }).encode("utf-8")
-        status, served = svc.analyze_json(raw)
-        assert status == 200
-        expected = run_pipeline(
-            [("figure3.rl", figure3_program())],
-            analyses=("cert", "lint"),
-            use_cache=False,
-        )
-        assert served == (expected.to_json() + "\n").encode("utf-8")
-        # exactly one shard did the work for this key
-        assert sum(pool.submitted for pool in svc.pools) > 0
-        assert sum(1 for pool in svc.pools if pool.submitted) == 1
-
-        # routing is a pure function of the key and covers both shards
-        shards = {svc._shard_for(f"{i:08x}") for i in range(16)}
-        assert shards == {0, 1}
-    finally:
-        svc.close()
-
-
-def test_shards_collapse_to_one_without_a_pool():
-    svc = AnalysisService(jobs=1, shards=4, cache_dir=None, lru_capacity=0)
-    assert svc.shards == 1
-    assert svc.pools == []
-    assert svc.pool is None
-    counters = svc.service_counters()
-    assert counters["shards"] == 1
-    assert "pool" not in counters
 
 
 def test_bad_front_line_parameters_are_rejected():
     with pytest.raises(ValueError):
-        AnalysisService(jobs=2, shards=0)
-    with pytest.raises(ValueError):
         AnalysisService(jobs=2, max_queue=0)
     with pytest.raises(ValueError):
         AnalysisService(jobs=2, tenant_rps=0.0)
+
+
+@pytest.mark.parametrize("removed", ["shards", "chunk_size"])
+def test_removed_constructor_arguments_are_type_errors(removed):
+    with pytest.raises(TypeError, match=removed):
+        AnalysisService(jobs=1, cache_dir=None, **{removed: 2})

@@ -19,7 +19,6 @@ def test_tiny_campaign_end_to_end():
         duration=1.0,
         clients=2,
         jobs=2,
-        shards=2,
         max_queue=3,
         overload_clients=6,
         overload_seconds=1.0,
@@ -37,7 +36,6 @@ def test_tiny_campaign_end_to_end():
     assert payload["metrics_valid"], payload["metrics_problems"]
     assert payload["clean_exit"]
     service = payload["service"]
-    assert service["shards"] == 2
     assert service["admission"]["admitted"] > 0
     # all four steady tenants plus the overload tenant were accounted
     assert set(service["tenants"]) >= {"alpha", "beta", "gamma",
@@ -73,10 +71,10 @@ def test_percentiles_are_ordered_and_empty_safe():
 def test_cli_wires_loadtest_and_serve_front_line_flags():
     parser = build_parser()
     args = parser.parse_args([
-        "serve", "--shards", "4", "--max-queue", "9",
+        "serve", "--max-queue", "9",
         "--tenant-rps", "2.5", "--tenant-burst", "5",
     ])
-    assert (args.shards, args.max_queue) == (4, 9)
+    assert args.max_queue == 9
     assert (args.tenant_rps, args.tenant_burst) == (2.5, 5.0)
 
     args = parser.parse_args(["loadtest", "--smoke", "--out", "x.json"])

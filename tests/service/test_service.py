@@ -3,13 +3,12 @@
 The service's one promise: it is a cache and a pool in front of
 ``run_pipeline``, never a different pipeline — responses are
 byte-identical to ``repro batch --json``, warm hits skip the pool,
-identical concurrent requests share one computation, and deadlines
+concurrent requests share one pool and one cache, and deadlines
 degrade instead of erroring.
 """
 
 import json
 import threading
-import time
 
 import pytest
 
@@ -63,65 +62,39 @@ def test_warm_lru_hit_never_touches_the_pool(tmp_path):
         svc.close()
 
 
-def test_chunk_size_flows_through_to_the_pool(tmp_path):
-    # chunk_size=1 forces one submitted task per (program, analysis)
-    # cell, so the pool's submission counter exposes the pass-through.
-    svc = AnalysisService(
-        jobs=2, chunk_size=1, cache_dir=str(tmp_path / "cache")
-    )
-    try:
-        assert svc.chunk_size == 1
-        raw = request_body(analyses=["cert", "lint"])
-        status, body = svc.analyze_json(raw)
-        assert status == 200
-        assert svc.pool.submitted == 2  # 1 program x 2 analyses, singleton chunks
-        expected = run_pipeline(
-            [("figure3.rl", figure3_program())],
-            analyses=("cert", "lint"),
-            use_cache=False,
-        )
-        assert body == (expected.to_json() + "\n").encode("utf-8")
-    finally:
-        svc.close()
-
-
-def test_concurrent_identical_requests_coalesce(monkeypatch):
-    from repro.service import app as app_module
-
-    svc = AnalysisService(jobs=1, cache_dir=None, lru_capacity=0)
-    canned = run_pipeline(
-        [("figure3.rl", figure3_program())], analyses=("cert",),
+def test_concurrent_cold_requests_share_one_pool_and_one_cache(tmp_path):
+    cache_dir = tmp_path / "cache"
+    svc = AnalysisService(jobs=2, cache_dir=str(cache_dir))
+    raw = request_body(analyses=["cert", "lint"])
+    expected = run_pipeline(
+        [("figure3.rl", figure3_program())],
+        analyses=("cert", "lint"),
         use_cache=False,
     )
-    release = threading.Event()
-    calls = []
-
-    def slow_pipeline(*args, **kwargs):
-        calls.append(1)
-        assert release.wait(timeout=30)
-        return canned
-
-    monkeypatch.setattr(app_module, "run_pipeline", slow_pipeline)
-    raw = request_body(analyses=["cert"])
+    start = threading.Barrier(4)
     outcomes = []
-    threads = [
-        threading.Thread(target=lambda: outcomes.append(svc.analyze_json(raw)))
-        for _ in range(3)
-    ]
-    for t in threads:
-        t.start()
-    # wait for both followers to attach to the leader's future, then
-    # let the (single) computation finish
-    deadline = time.monotonic() + 10
-    while svc.coalesced < 2 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    release.set()
-    for t in threads:
-        t.join(timeout=30)
-    assert calls == [1]  # one computation served all three requests
-    assert svc.coalesced == 2
-    assert {status for status, _ in outcomes} == {200}
-    assert len({body for _, body in outcomes}) == 1
+
+    def send():
+        start.wait(timeout=30)
+        outcomes.append(svc.analyze_json(raw))
+
+    threads = [threading.Thread(target=send) for _ in range(4)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        svc.close()
+    body = (expected.to_json() + "\n").encode("utf-8")
+    assert outcomes == [(200, body)] * 4
+    # one entry per (program, analysis) cell, and no stranded temp file
+    files = sorted(p.name for p in cache_dir.rglob("*") if p.is_file())
+    assert len(files) == 2
+    assert all(name.endswith(".json") for name in files)
+    assert (svc.in_flight, svc.waiting) == (0, 0)
+    assert svc.admission["aborted"] == 0
 
 
 def test_deadline_degrades_the_result_never_500s(tmp_path):
@@ -164,6 +137,18 @@ def test_default_deadline_applies_when_the_request_sets_none():
     (json.dumps({"programs": []}).encode(), "non-empty"),
     (json.dumps({"program": "x := 1", "kind": "poem"}).encode(), "kind"),
     (json.dumps({"program": "x := 1", "analyses": "cert"}).encode(), "array"),
+    # each of these three used to escape into run_pipeline as a 500
+    (json.dumps({"program": "x := 1", "kind": "statement",
+                 "analyses": []}).encode(), "'analyses' must name"),
+    (json.dumps({"programs": [
+        {"name": "a.rl", "program": "x := 1", "kind": "statement"},
+        {"name": "a.rl", "program": "y := 1", "kind": "statement"},
+    ]}).encode(), "programs[1].name 'a.rl'"),
+    # an unnamed programs[1] defaults to program-1, which is taken
+    (json.dumps({"programs": [
+        {"name": "program-1", "program": "x := 1", "kind": "statement"},
+        {"program": "y := 1", "kind": "statement"},
+    ]}).encode(), "programs[1].name 'program-1'"),
     (json.dumps({"program": "x := 1", "bogus": 1}).encode(), "unknown request field"),
     (json.dumps({"program": "x := 1", "config": []}).encode(), "object"),
     (json.dumps({"program": "x := 1", "deadline": 1.0,

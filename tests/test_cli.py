@@ -202,10 +202,10 @@ def _exit_code(argv):
     (["serve", "--jobs", "0"], "--jobs"),
     (["serve", "--lru-size", "-1"], "--lru-size"),
     (["serve", "--max-queue", "0"], "--max-queue"),
-    (["serve", "--shards", "0"], "--shards"),
+    (["loadtest", "--max-queue", "0"], "--max-queue"),
     (["serve", "--tenant-rps", "0"], "--tenant-rps"),
     (["serve", "--tenant-burst", "0.5"], "--tenant-burst"),
-    (["serve", "--chunk-size", "0"], "--chunk-size"),
+    (["loadtest", "--jobs", "0"], "--jobs"),
     (["batch", "--corpus", "litmus", "--jobs", "-4"], "--jobs"),
     (["batch", "--corpus", "litmus", "--jobs", "1", "--chunk-size", "0"],
      "--chunk-size"),
@@ -267,4 +267,20 @@ def test_deeply_nested_programs_are_refused_with_a_position(
     assert code == 2
     assert re.fullmatch(
         rf"error: \d+:\d+: nesting deeper than {MAX_DEPTH} levels\n", err
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--shards", "2"],
+    ["serve", "--chunk-size", "4"],
+    ["loadtest", "--shards", "2"],
+])
+def test_removed_serve_options_are_usage_errors(capsys, argv):
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in (
+        capsys.readouterr().err
     )
