@@ -29,9 +29,10 @@ bench-fuzz:
 bench-cert:
 	$(PYTHON) benchmarks/bench_cert.py
 
-# Serve front-line loadtest with admission gates -> BENCH_serve.json.
+# Serve front-line loadtest with its full-mode gates -> BENCH_serve.json.
 bench-serve:
-	$(PYTHON) benchmarks/bench_serve.py
+	$(PYTHON) -m repro loadtest --out BENCH_serve.json --clients 16 \
+		--max-queue 16 --overload-clients 32 --overload-seconds 5
 
 # The repo benchmark (BENCHMARK.json): every workload, every metric.
 bench-e2e:

@@ -1,32 +1,26 @@
 """Command-line interface: ``repro-ifc`` (or ``python -m repro``).
 
-Subcommands::
-
-    certify  PROGRAM --bind x=high --bind y=low [--scheme two-level]
-    denning  PROGRAM --bind ...  [--on-concurrency reject|ignore]
-    infer    PROGRAM --bind x=high            # pin some, infer the rest
-    prove    PROGRAM --bind ...               # Theorem 1 proof + check
-    run      PROGRAM [--set x=3] [--seed 7] [--trace]
-    explore  PROGRAM [--set x=3] [--por]
-    report   PROGRAM --bind ...
-    lint     PROGRAM... [--json] [--select RPL1] [--ignore RPL402]
-    batch    [PROGRAM...] [--corpus litmus] --analyses cert,lint
-             [--jobs 4] [--chunk-size N] [--cache-dir DIR]
-             [--no-cache] [--json]
-    serve    [--host 127.0.0.1] [--port 8765] [--jobs 2]
-             [--max-queue N] [--tenant-rps RATE]
-             [--lru-size N] [--deadline SECONDS]
-    loadtest [--duration 10] [--clients 8] [--overload-clients 32]
-             [--smoke] [--out FILE]
+One program at a time: ``certify`` (Figure 2's CFM), ``denning`` (the
+Dennings' sequential baseline), ``fs-certify``, ``infer``, ``flow``,
+``prove`` and ``check-cert`` (Theorem 1 proofs), ``report``; ``run``,
+``explore``, ``ni`` and ``leak`` (§5 possibility claims).  Tooling:
+``lint``, ``batch``, ``fuzz``, ``serve`` and ``loadtest``.  See
+``repro-ifc <command> --help``.
 
 ``PROGRAM`` is a source file (``-`` for stdin).  Bindings use the
 scheme's class names (``low``/``high`` for the default two-level
 scheme; ``unclassified``..``topsecret`` for ``four-level``).
+
+Each subcommand is one ``_cmd_<name>`` handler that its parser names
+with ``set_defaults(handler=...)``; each option that several
+subcommands take is defined once, by an ``_add_*`` helper.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 from typing import Dict, List, Optional
 
@@ -39,8 +33,7 @@ from repro.errors import ReproError
 from repro.lang.ast import Program, used_variables
 from repro.lang.parser import parse_program, read_source
 from repro.lang.validate import validate_program
-from repro.lattice.chain import four_level, two_level
-from repro.lattice.finite import diamond
+from repro.lattice import SCHEMES, parse_scheme
 from repro.logic.checker import check_proof
 from repro.logic.extract import is_completely_invariant
 from repro.logic.generator import generate_proof
@@ -49,11 +42,9 @@ from repro.runtime.executor import run as run_program
 from repro.runtime.explorer import explore
 from repro.runtime.scheduler import RandomScheduler, RoundRobinScheduler
 
-_SCHEMES = {
-    "two-level": two_level,
-    "four-level": four_level,
-    "diamond": diamond,
-}
+
+class _UsageError(ReproError):
+    """An input the command cannot use; ``main`` reports it and exits 2."""
 
 
 def _load_program(path: str) -> Program:
@@ -107,13 +98,36 @@ def _parse_pairs(pairs: List[str], what: str) -> Dict[str, str]:
     return out
 
 
+def _integer(flag: str, text: str) -> int:
+    """``text`` as an integer; anything else is a usage error naming ``flag``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"{flag}: {text!r} is not an integer") from None
+
+
+def _read_json(path: str):
+    """The JSON document in the file at ``path``."""
+    try:
+        return json.loads(read_source(path))
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"{path} is not JSON: {exc}") from None
+
+
+def _write(path: str, text: str) -> None:
+    """Write an output file; failing to is a usage error, not a traceback."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _scheme(args):
     """Resolve the classification scheme from --scheme / --scheme-file."""
-    if getattr(args, "scheme_file", None):
-        from repro.lattice.parse import load_scheme
-
-        return load_scheme(args.scheme_file)
-    return _SCHEMES[args.scheme]()
+    if args.scheme_file:
+        return parse_scheme(read_source(args.scheme_file), name=args.scheme_file)
+    return SCHEMES[args.scheme]()
 
 
 def _parse_class(text: str, scheme) -> object:
@@ -127,49 +141,58 @@ def _parse_class(text: str, scheme) -> object:
     )
 
 
-def _load_bindings(path: str) -> Dict[str, str]:
-    """A ``--bindings`` file: one JSON object, variable -> class name."""
-    import json
-
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise SystemExit("error: the bindings file must hold a JSON object")
-    return {str(k): str(v) for k, v in data.items()}
+def _classes(args) -> Dict[str, str]:
+    """Variable -> class name: the ``--bindings`` file, then ``--bind``."""
+    classes: Dict[str, str] = {}
+    if args.bindings:
+        data = _read_json(args.bindings)
+        if not isinstance(data, dict):
+            raise SystemExit("error: the bindings file must hold a JSON object")
+        classes.update((str(k), str(v)) for k, v in data.items())
+    classes.update(_parse_pairs(args.bind, "--bind"))
+    return classes
 
 
 def _binding(args, program: Program) -> StaticBinding:
     scheme = _scheme(args)
-    classes: Dict[str, str] = {}
-    if getattr(args, "bindings", None):
-        classes.update(_load_bindings(args.bindings))
-    classes.update(_parse_pairs(args.bind, "--bind"))
-    default = getattr(args, "default", None)
-    binding = StaticBinding(scheme, classes, default=default)
+    classes = _classes(args)
+    binding = StaticBinding(scheme, classes, default=args.default)
     missing = sorted(used_variables(program.body) - set(classes))
-    if missing and default is None:
+    if missing and args.default is None:
         raise SystemExit(
             "error: no binding for: " + ", ".join(missing) + " (use --bind or --default)"
         )
     return binding
 
 
-def _add_scheme_flags(
-    sub: argparse.ArgumentParser,
-    include_file: bool = True,
-    help_text: str = "classification scheme (default: two-level)",
-) -> None:
-    """The ``--scheme``/``--scheme-file`` pair, defined once.
+def _store(args) -> Dict[str, int]:
+    """The initial values given by ``--set``."""
+    return {
+        name: _integer("--set", value)
+        for name, value in _parse_pairs(args.set, "--set").items()
+    }
 
-    Every subcommand that resolves a policy shares these; the help
-    text is the only thing allowed to vary (the flags themselves had
-    already drifted apart once when they were copy-pasted).
-    """
+
+def _budget(args):
+    """The exploration budget given by the budget flags."""
+    from repro.observe import Budget
+
+    return Budget(
+        max_states=args.max_states,
+        max_depth=args.max_depth,
+        deadline=args.deadline,
+    )
+
+
+def _add_scheme_flags(
+    sub: argparse.ArgumentParser, include_file: bool = True
+) -> None:
+    """The ``--scheme``/``--scheme-file`` pair."""
     sub.add_argument(
         "--scheme",
-        choices=sorted(_SCHEMES),
+        choices=sorted(SCHEMES),
         default="two-level",
-        help=help_text,
+        help="classification scheme (default: %(default)s)",
     )
     if include_file:
         sub.add_argument(
@@ -180,39 +203,57 @@ def _add_scheme_flags(
         )
 
 
+def _add_deadline(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--deadline",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="wall-clock budget (serve: for each request that sets none); "
+        "exhausting it yields a partial result flagged degraded, not an error",
+    )
+
+
 def _add_budget_flags(
     sub: argparse.ArgumentParser,
     max_states_default: int = 200_000,
     max_depth_default: int = 2_000,
 ) -> None:
-    """The exploration budget trio (``--max-states``/``--max-depth``/
-    ``--deadline``), shared by ``explore``, ``report`` and ``batch``.
-
-    Only the ``--max-states`` default varies (the batch pipeline uses
-    a deliberately lower per-program budget); the flags themselves are
-    defined exactly once so they can never drift again.
-    """
+    """The exploration budget: ``--max-states``, ``--max-depth``, ``--deadline``."""
     sub.add_argument(
         "--max-states",
         type=int,
         default=max_states_default,
         metavar="N",
-        help=f"distinct-state budget (default: {max_states_default})",
+        help="distinct-state budget (default: %(default)s)",
     )
     sub.add_argument(
         "--max-depth",
         type=int,
         default=max_depth_default,
         metavar="N",
-        help=f"schedule-length budget (default: {max_depth_default})",
+        help="schedule-length budget (default: %(default)s)",
+    )
+    _add_deadline(sub)
+
+
+def _add_binding_flags(sub: argparse.ArgumentParser) -> None:
+    """A static binding: ``--bind`` pairs over a ``--bindings`` file."""
+    sub.add_argument(
+        "--bind",
+        action="append",
+        metavar="VAR=CLASS",
+        help="static binding entry (repeatable)",
     )
     sub.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget; exhausting it yields a partial result "
-        "flagged degraded instead of an error",
+        "--bindings",
+        metavar="FILE",
+        help="JSON file of {variable: class}; --bind entries override it",
+    )
+    sub.add_argument(
+        "--default",
+        metavar="CLASS",
+        help="class for variables without an explicit --bind",
     )
 
 
@@ -220,22 +261,90 @@ def _add_common(sub: argparse.ArgumentParser, bind: bool = True) -> None:
     sub.add_argument("program", help="program source file, or - for stdin")
     _add_scheme_flags(sub)
     if bind:
+        _add_binding_flags(sub)
+
+
+def _add_set_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--set", action="append", metavar="VAR=INT", help="initial value (repeatable)"
+    )
+
+
+def _add_pool_flags(
+    sub: argparse.ArgumentParser, jobs: int, chunk_size: bool = False
+) -> None:
+    """``--jobs``, and ``--chunk-size`` where work is dispatched in chunks."""
+    sub.add_argument(
+        "--jobs",
+        type=_COUNT,
+        default=jobs,
+        metavar="N",
+        help="worker processes (default: %(default)s; 1 = in-process)",
+    )
+    if chunk_size:
         sub.add_argument(
-            "--bind",
-            action="append",
-            metavar="VAR=CLASS",
-            help="static binding entry (repeatable)",
+            "--chunk-size",
+            type=_COUNT,
+            default=None,
+            metavar="N",
+            help="cells or seeds dispatched per worker task "
+            "(default: auto-sized from the input and --jobs)",
         )
-        sub.add_argument(
-            "--bindings",
-            metavar="FILE",
-            help="JSON file of {variable: class}; --bind entries override it",
-        )
-        sub.add_argument(
-            "--default",
-            metavar="CLASS",
-            help="class for variables without an explicit --bind",
-        )
+
+
+def _add_cache_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--cache-dir",
+        default=".repro-cache",
+        metavar="DIR",
+        help="content-addressed result cache root (default: %(default)s)",
+    )
+    sub.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable result caching (recompute everything)",
+    )
+
+
+def _add_no_fastpath(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--no-fastpath",
+        action="store_true",
+        help="disable the fused certifier fast path (run the reference "
+        "cert/denning analyzers directly)",
+    )
+
+
+def _add_policy_flags(sub: argparse.ArgumentParser, high: str) -> None:
+    """A config-derived policy: the scheme and the variables at its top."""
+    _add_scheme_flags(sub, include_file=False)
+    sub.add_argument(
+        "--high",
+        default=high,
+        metavar="NAMES",
+        help="comma-separated variables bound to the scheme top "
+        "(default: %(default)s); everything else binds to bottom",
+    )
+
+
+def _add_admission_flags(sub: argparse.ArgumentParser, max_queue: int) -> None:
+    """The service's front line: its admission bound and tenant rate."""
+    sub.add_argument(
+        "--max-queue",
+        type=_COUNT,
+        default=max_queue,
+        metavar="N",
+        help="admission bound on in-flight plus waiting requests; "
+        "beyond it requests are refused with 429 (default: %(default)s)",
+    )
+    sub.add_argument(
+        "--tenant-rps",
+        type=_RATE,
+        default=None,
+        metavar="RATE",
+        help="per-tenant token-bucket rate limit in requests/second, "
+        "keyed by the X-Repro-Tenant header (default: unlimited)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("certify", help="run the Concurrent Flow Mechanism")
+    sub.set_defaults(handler=_cmd_certify)
     _add_common(sub)
     sub.add_argument("--quiet", action="store_true", help="status line only")
     sub.add_argument(
@@ -262,29 +372,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
     sub = subs.add_parser("denning", help="run the sequential Denning-Denning baseline")
+    sub.set_defaults(handler=_cmd_denning)
     _add_common(sub)
     sub.add_argument(
         "--on-concurrency",
         choices=("reject", "ignore"),
         default="reject",
-        help="how to treat cobegin/wait/signal (default: reject)",
+        help="how to treat cobegin/wait/signal (default: %(default)s)",
     )
 
     sub = subs.add_parser(
         "fs-certify",
         help="run the flow-sensitive certifier (strictly stronger than CFM)",
     )
+    sub.set_defaults(handler=_cmd_fs_certify)
     _add_common(sub)
 
     sub = subs.add_parser("infer", help="infer the least binding completion")
+    sub.set_defaults(handler=_cmd_infer)
     _add_common(sub)
 
     sub = subs.add_parser("flow", help="print the variable flow relation")
+    sub.set_defaults(handler=_cmd_flow)
     _add_common(sub, bind=False)
 
     sub = subs.add_parser(
         "ni", help="exhaustive possibilistic noninterference check"
     )
+    sub.set_defaults(handler=_cmd_ni)
     _add_common(sub)
     sub.add_argument("--observer", required=True, help="observer class")
     sub.add_argument(
@@ -296,11 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = subs.add_parser("leak", help="search for a concrete leak witness")
+    sub.set_defaults(handler=_cmd_leak)
     _add_common(sub)
     sub.add_argument("--observer", required=True, help="observer class")
-    sub.add_argument("--values", default="0,1,2", help="candidate values (csv)")
+    sub.add_argument(
+        "--values", default="0,1,2", help="candidate values (default: %(default)s)"
+    )
 
     sub = subs.add_parser("prove", help="generate and check a Theorem 1 flow proof")
+    sub.set_defaults(handler=_cmd_prove)
     _add_common(sub)
     sub.add_argument("--render", action="store_true", help="print the full proof tree")
     sub.add_argument(
@@ -313,12 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
         "check-cert",
         help="re-check a proof certificate against a program",
     )
+    sub.set_defaults(handler=_cmd_check_cert)
     _add_common(sub, bind=False)
     sub.add_argument("certificate", help="JSON certificate from prove --save-cert")
 
     sub = subs.add_parser("run", help="execute the program")
+    sub.set_defaults(handler=_cmd_run)
     _add_common(sub, bind=False)
-    sub.add_argument("--set", action="append", metavar="VAR=INT", help="initial value")
+    _add_set_flag(sub)
     sub.add_argument("--seed", type=int, help="random scheduler seed (default: round-robin)")
     sub.add_argument("--max-steps", type=int, default=100_000)
     sub.add_argument("--trace", action="store_true", help="print every atomic action")
@@ -329,8 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = subs.add_parser("explore", help="exhaustively explore all interleavings")
+    sub.set_defaults(handler=_cmd_explore)
     _add_common(sub, bind=False)
-    sub.add_argument("--set", action="append", metavar="VAR=INT")
+    _add_set_flag(sub)
     _add_budget_flags(sub)
     sub.add_argument(
         "--por",
@@ -339,6 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = subs.add_parser("report", help="full report: CFM, baseline, flow relation")
+    sub.set_defaults(handler=_cmd_report)
     _add_common(sub)
     sub.add_argument("--source", action="store_true", help="include the pretty-printed source")
     sub.add_argument(
@@ -352,6 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="static analysis: deadlock, races, dataflow hygiene, label lint",
     )
+    sub.set_defaults(handler=_cmd_lint)
     sub.add_argument(
         "programs",
         nargs="*",
@@ -359,27 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="source files (- for stdin) or Python modules with embedded "
         "programs (the examples/ convention)",
     )
-    _add_scheme_flags(
-        sub,
-        help_text="classification scheme for the label passes "
-        "(default: two-level)",
-    )
-    sub.add_argument(
-        "--bind",
-        action="append",
-        metavar="VAR=CLASS",
-        help="policy binding entry; enables the RPL501/RPL503 label passes",
-    )
-    sub.add_argument(
-        "--bindings",
-        metavar="FILE",
-        help="JSON file of {variable: class}; --bind entries override it",
-    )
-    sub.add_argument(
-        "--default",
-        metavar="CLASS",
-        help="class for variables without an explicit --bind",
-    )
+    _add_scheme_flags(sub)
+    _add_binding_flags(sub)
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     sub.add_argument(
         "--select",
@@ -412,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         "batch",
         help="run analyses over a corpus in parallel, with result caching",
     )
+    sub.set_defaults(handler=_cmd_batch)
     sub.add_argument(
         "programs",
         nargs="*",
@@ -433,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--analyses",
         default="cert,lint",
         metavar="NAMES",
-        help="comma-separated analyses to run (default: cert,lint; "
+        help="comma-separated analyses to run (default: %(default)s; "
         "see --list-analyses)",
     )
     sub.add_argument(
@@ -441,32 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the available analyses and exit",
     )
-    sub.add_argument(
-        "--jobs",
-        type=_COUNT,
-        default=1,
-        metavar="N",
-        help="worker processes (default: 1 = serial)",
-    )
-    sub.add_argument(
-        "--chunk-size",
-        type=_COUNT,
-        default=None,
-        metavar="N",
-        help="(program, analysis) cells dispatched per worker task "
-        "(default: auto-sized from the corpus and --jobs)",
-    )
-    sub.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        metavar="DIR",
-        help="content-addressed result cache root (default: .repro-cache)",
-    )
-    sub.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk cache (recompute everything)",
-    )
+    _add_pool_flags(sub, jobs=1, chunk_size=True)
+    _add_cache_flags(sub)
     sub.add_argument(
         "--json",
         action="store_true",
@@ -477,31 +559,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print run statistics (timing, cache hits) to stderr",
     )
-    _add_scheme_flags(
-        sub,
-        include_file=False,
-        help_text="classification scheme for policy-based analyses "
-        "(default: two-level)",
-    )
-    sub.add_argument(
-        "--high",
-        default="h,h2",
-        metavar="NAMES",
-        help="comma-separated variables bound to the scheme top "
-        "(default: h,h2); everything else binds to bottom",
-    )
+    _add_policy_flags(sub, high="h,h2")
     _add_budget_flags(sub, max_states_default=20_000)
     sub.add_argument(
         "--no-por",
         action="store_true",
         help="disable partial-order reduction in the explore analysis",
     )
-    sub.add_argument(
-        "--no-fastpath",
-        action="store_true",
-        help="disable the fused certifier fast path (run the reference "
-        "cert/denning analyzers directly)",
-    )
+    _add_no_fastpath(sub)
     sub.add_argument(
         "--metrics",
         metavar="FILE",
@@ -519,19 +584,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential fuzzing: cross-check the analyzers on seeded "
         "random programs, minimizing any violation",
     )
+    sub.set_defaults(handler=_cmd_fuzz)
     sub.add_argument(
         "--seeds",
         type=int,
         default=100,
         metavar="N",
-        help="number of consecutive generator seeds (default: 100)",
+        help="number of consecutive generator seeds (default: %(default)s)",
     )
     sub.add_argument(
         "--seed-start",
         type=int,
         default=0,
         metavar="N",
-        help="first seed (default: 0)",
+        help="first seed (default: %(default)s)",
     )
     sub.add_argument(
         "--oracles",
@@ -545,21 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the oracle catalog and exit",
     )
-    sub.add_argument(
-        "--jobs",
-        type=_COUNT,
-        default=1,
-        metavar="N",
-        help="worker processes (default: 1 = serial)",
-    )
-    sub.add_argument(
-        "--chunk-size",
-        type=_COUNT,
-        default=None,
-        metavar="N",
-        help="seeds dispatched per worker task "
-        "(default: auto-sized from --seeds and --jobs)",
-    )
+    _add_pool_flags(sub, jobs=1, chunk_size=True)
     sub.add_argument(
         "--corpus-dir",
         default=None,
@@ -589,99 +641,41 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the campaign metrics document "
         "(schema repro-metrics/1, with the fuzz section) as JSON",
     )
-    _add_scheme_flags(
-        sub,
-        include_file=False,
-        help_text="classification scheme for policy oracles "
-        "(default: two-level)",
-    )
-    sub.add_argument(
-        "--high",
-        default="v0",
-        metavar="NAMES",
-        help="comma-separated variables bound to the scheme top "
-        "(default: v0, a variable the generator emits)",
-    )
+    _add_policy_flags(sub, high="v0")
     _add_budget_flags(sub, max_states_default=8_000, max_depth_default=600)
-    sub.add_argument(
-        "--no-fastpath",
-        action="store_true",
-        help="disable the fused certifier fast path in policy oracles",
-    )
+    _add_no_fastpath(sub)
 
     sub = subs.add_parser(
         "serve",
         help="long-running JSON-over-HTTP analysis service "
         "(POST /analyze, GET /healthz, GET /metrics)",
     )
+    sub.set_defaults(handler=_cmd_serve)
     sub.add_argument(
         "--host",
         default="127.0.0.1",
-        help="interface to bind (default: 127.0.0.1)",
+        help="interface to bind (default: %(default)s)",
     )
     sub.add_argument(
         "--port",
         type=int,
         default=8765,
         help="port to bind; 0 picks a free port, announced on stdout "
-        "(default: 8765)",
+        "(default: %(default)s)",
     )
-    sub.add_argument(
-        "--jobs",
-        type=_COUNT,
-        default=2,
-        metavar="N",
-        help="persistent worker processes, pre-forked at startup "
-        "(default: 2; 1 = analyse in-process)",
-    )
-    sub.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        metavar="DIR",
-        help="on-disk result cache root (default: .repro-cache)",
-    )
-    sub.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable both cache tiers (recompute every request)",
-    )
+    _add_pool_flags(sub, jobs=2)
+    _add_cache_flags(sub)
     sub.add_argument(
         "--lru-size",
         type=_CAPACITY,
         default=4096,
         metavar="N",
         help="in-memory LRU tier capacity in entries "
-        "(default: 4096; 0 disables the memory tier)",
+        "(default: %(default)s; 0 disables the memory tier)",
     )
-    sub.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="default per-request wall-clock budget for requests that "
-        "set none; exhausting it degrades the result, never errors",
-    )
-    sub.add_argument(
-        "--no-fastpath",
-        action="store_true",
-        help="disable the fused certifier fast path for every request",
-    )
-    sub.add_argument(
-        "--max-queue",
-        type=_COUNT,
-        default=64,
-        metavar="N",
-        help="admission bound on in-flight plus waiting requests; "
-        "beyond it requests are refused with 429 (default: 64)",
-    )
-    sub.add_argument(
-        "--tenant-rps",
-        type=_RATE,
-        default=None,
-        metavar="RATE",
-        help="per-tenant token-bucket rate limit in requests/second, "
-        "keyed by the X-Repro-Tenant header (default: unlimited)",
-    )
+    _add_deadline(sub)
+    _add_no_fastpath(sub)
+    _add_admission_flags(sub, max_queue=64)
     sub.add_argument(
         "--tenant-burst",
         type=_BURST,
@@ -699,12 +693,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="closed-loop load driver: spawn a repro serve subprocess, "
         "drive it with a mixed corpus, report RPS/latency/admission",
     )
+    sub.set_defaults(handler=_cmd_loadtest)
     sub.add_argument(
         "--duration",
         type=float,
         default=10.0,
         metavar="SECONDS",
-        help="steady-phase wall-clock length (default: 10)",
+        help="steady-phase wall-clock length (default: %(default)s)",
     )
     sub.add_argument(
         "--clients",
@@ -712,49 +707,30 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         metavar="N",
         help="concurrent closed-loop clients in the steady phase "
-        "(default: 8)",
+        "(default: %(default)s)",
     )
-    sub.add_argument(
-        "--jobs",
-        type=_COUNT,
-        default=2,
-        metavar="N",
-        help="worker processes for the spawned server (default: 2)",
-    )
-    sub.add_argument(
-        "--max-queue",
-        type=_COUNT,
-        default=16,
-        metavar="N",
-        help="admission bound for the spawned server (default: 16)",
-    )
-    sub.add_argument(
-        "--tenant-rps",
-        type=_RATE,
-        default=None,
-        metavar="RATE",
-        help="per-tenant rate limit for the spawned server "
-        "(default: unlimited)",
-    )
+    _add_pool_flags(sub, jobs=2)
+    _add_admission_flags(sub, max_queue=16)
     sub.add_argument(
         "--overload-clients",
         type=_COUNT,
         default=32,
         metavar="N",
         help="burst clients in the overload phase; more than "
-        "--max-queue forces 429s (default: 32)",
+        "--max-queue forces 429s (default: %(default)s)",
     )
     sub.add_argument(
         "--overload-seconds",
         type=float,
         default=4.0,
         metavar="SECONDS",
-        help="overload-phase wall-clock length (default: 4)",
+        help="overload-phase wall-clock length (default: %(default)s)",
     )
     sub.add_argument(
         "--smoke",
         action="store_true",
-        help="short CI shape: 2s steady phase, fewer clients",
+        help="short CI shape: 2s steady phase, fewer clients, "
+        "no full-mode gates",
     )
     sub.add_argument(
         "--out",
@@ -768,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -790,10 +766,18 @@ def _split_codes(values: Optional[List[str]]) -> tuple:
     )
 
 
-def _cmd_lint(args) -> int:
-    """The ``lint`` subcommand (its own loader, so dispatched early)."""
-    import json as json_mod
+def _pipeline_config(args) -> Dict[str, object]:
+    """The pipeline config that ``batch`` and ``fuzz`` read off their flags."""
+    return {
+        "scheme": args.scheme,
+        "high": _split_codes([args.high]),
+        "max_states": args.max_states,
+        "max_depth": args.max_depth,
+        "fastpath": not args.no_fastpath,
+    }
 
+
+def _cmd_lint(args) -> int:
     from repro.staticlint import (
         LintResult,
         LoadError,
@@ -815,11 +799,7 @@ def _cmd_lint(args) -> int:
     scheme = None
     if args.bind or args.bindings or args.default:
         scheme = _scheme(args)
-        classes: Dict[str, str] = {}
-        if args.bindings:
-            classes.update(_load_bindings(args.bindings))
-        classes.update(_parse_pairs(args.bind, "--bind"))
-        binding = StaticBinding(scheme, classes, default=args.default)
+        binding = StaticBinding(scheme, _classes(args), default=args.default)
     elif args.scheme_file or args.scheme != "two-level":
         scheme = _scheme(args)
 
@@ -852,7 +832,7 @@ def _cmd_lint(args) -> int:
                 ))
 
     if args.json:
-        print(json_mod.dumps([r.to_dict() for r in results], indent=2))
+        print(json.dumps([r.to_dict() for r in results], indent=2))
     else:
         for result in results:
             for d in result.diagnostics:
@@ -884,10 +864,8 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    """The ``batch`` subcommand: the parallel certification pipeline."""
-    import os
-
-    from repro.pipeline import analysis_names, run_pipeline, scheme_names
+    """The parallel certification pipeline."""
+    from repro.pipeline import ANALYSES, analysis_names, run_pipeline
     from repro.workloads.suites import corpus as load_corpus
     from repro.workloads.suites import corpus_names
 
@@ -896,8 +874,6 @@ def _cmd_batch(args) -> int:
             print(name)
         return 0
     if args.list_analyses:
-        from repro.pipeline import ANALYSES
-
         for name in analysis_names():
             print(f"{name}: {ANALYSES[name].description}")
         return 0
@@ -905,7 +881,6 @@ def _cmd_batch(args) -> int:
     analyses = _split_codes([args.analyses])
     if not analyses:
         raise SystemExit("error: --analyses needs at least one analysis name")
-    assert args.scheme in scheme_names()  # argparse choices enforce this
 
     corpus = []
     for path in args.programs:
@@ -921,20 +896,17 @@ def _cmd_batch(args) -> int:
             "(try --list-corpora)"
         )
 
-    config = {
-        "scheme": args.scheme,
-        "high": _split_codes([args.high]),
-        "max_states": args.max_states,
-        "max_depth": args.max_depth,
-        "por": not args.no_por,
-        "deadline": args.deadline,
-        "fastpath": not args.no_fastpath,
-    }
+    config = dict(
+        _pipeline_config(args), por=not args.no_por, deadline=args.deadline
+    )
     trace = None
     if args.trace:
         from repro.observe import JsonlEmitter
 
-        trace = JsonlEmitter(path=args.trace)
+        try:
+            trace = JsonlEmitter(path=args.trace)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.trace}: {exc}") from None
     try:
         result = run_pipeline(
             corpus,
@@ -952,10 +924,7 @@ def _cmd_batch(args) -> int:
         if trace is not None:
             trace.close()
     if args.metrics:
-        import json as json_mod
-
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            json_mod.dump(result.metrics, handle, indent=2, sort_keys=True)
+        _write(args.metrics, json.dumps(result.metrics, indent=2, sort_keys=True))
 
     if args.json:
         print(result.to_json())
@@ -1002,9 +971,7 @@ def _cmd_batch(args) -> int:
             for name, analysis, limit in degraded:
                 print(f"  {name}/{analysis}: {limit} budget hit")
     if args.stats:
-        import json as json_mod
-
-        print(json_mod.dumps(result.stats, sort_keys=True), file=sys.stderr)
+        print(json.dumps(result.stats, sort_keys=True), file=sys.stderr)
     errors = result.errors()
     for name, analysis, message in errors:
         print(f"error: {name}/{analysis}: {message}", file=sys.stderr)
@@ -1012,7 +979,7 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    """The ``serve`` subcommand: the resident analysis service."""
+    """The resident analysis service."""
     from repro.service import AnalysisService, serve
 
     service = AnalysisService(
@@ -1031,9 +998,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_loadtest(args) -> int:
-    """The ``loadtest`` subcommand: drive a spawned server, report, gate."""
-    import json as json_mod
-
+    """Drive a spawned server, report, gate."""
     from repro.service.loadtest import LoadtestOptions, run_loadtest
 
     options = LoadtestOptions(
@@ -1049,11 +1014,10 @@ def _cmd_loadtest(args) -> int:
         smoke=args.smoke,
     )
     payload = run_loadtest(options)
-    rendered = json_mod.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
+    rendered = json.dumps(payload, indent=2, sort_keys=True)
     print(rendered)
+    if args.out:
+        _write(args.out, rendered + "\n")
     failures = []
     if payload["identity"]["invalid_documents"]:
         failures.append(
@@ -1068,15 +1032,29 @@ def _cmd_loadtest(args) -> int:
         failures.append("/metrics failed schema validation")
     if not payload["clean_exit"]:
         failures.append("server did not drain and exit cleanly on SIGTERM")
+    if not args.smoke:
+        # overload must trip admission control while the health plane
+        # stays green, and the steady phase, mostly memory-tier hits,
+        # must sustain double-digit throughput (a floor, not a goal)
+        overload = payload["overload"]
+        healthz = overload["healthz"]
+        rps = payload["loadtest"]["rps_sustained"]
+        if not overload["rejected_busy_429"]:
+            failures.append("the overload phase drew no 429")
+        if not healthz["probes"] or healthz["ok"] != healthz["probes"]:
+            failures.append(
+                f"{healthz['ok']} of {healthz['probes']} /healthz probes "
+                "answered 200 under overload"
+            )
+        if rps < 10:
+            failures.append(f"the steady phase sustained {rps} requests/s, below 10")
     for failure in failures:
         print(f"loadtest: FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
 
 
 def _cmd_fuzz(args) -> int:
-    """The ``fuzz`` subcommand: the differential fuzzing campaign."""
-    import json as json_mod
-
+    """The differential fuzzing campaign."""
     from repro.fuzz import ORACLES, oracle_names, replay_corpus, run_fuzz
 
     if args.list_oracles:
@@ -1087,10 +1065,13 @@ def _cmd_fuzz(args) -> int:
         return 0
 
     if args.replay:
-        results = replay_corpus(args.replay)
+        try:
+            results = replay_corpus(args.replay)
+        except ValueError as exc:  # a corrupt finding record
+            raise _UsageError(str(exc)) from None
         unexpected = [r for r in results if not r["as_expected"]]
         if args.json:
-            print(json_mod.dumps(results, indent=2, sort_keys=True))
+            print(json.dumps(results, indent=2, sort_keys=True))
         else:
             for r in results:
                 tag = "ok" if r["as_expected"] else "UNEXPECTED"
@@ -1105,20 +1086,13 @@ def _cmd_fuzz(args) -> int:
         return 1 if unexpected else 0
 
     oracles = _split_codes([args.oracles]) if args.oracles else None
-    config = {
-        "scheme": args.scheme,
-        "high": _split_codes([args.high]),
-        "max_states": args.max_states,
-        "max_depth": args.max_depth,
-        "fastpath": not args.no_fastpath,
-    }
     try:
         result = run_fuzz(
             seeds=args.seeds,
             seed_start=args.seed_start,
             oracles=oracles,
             jobs=args.jobs,
-            config=config,
+            config=_pipeline_config(args),
             deadline=args.deadline,
             do_shrink=not args.no_shrink,
             corpus_dir=args.corpus_dir,
@@ -1128,10 +1102,9 @@ def _cmd_fuzz(args) -> int:
         raise SystemExit(f"error: {exc}")
 
     if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            json_mod.dump(result.metrics, handle, indent=2, sort_keys=True)
+        _write(args.metrics, json.dumps(result.metrics, indent=2, sort_keys=True))
     if args.json:
-        print(json_mod.dumps(result.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     else:
         section = result.fuzz_section()
         print(
@@ -1164,216 +1137,189 @@ def _cmd_fuzz(args) -> int:
     return 1 if (result.findings or result.errors) else 0
 
 
-def _dispatch(args) -> int:
-    if args.command == "lint":
-        return _cmd_lint(args)
-    if args.command == "batch":
-        return _cmd_batch(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "loadtest":
-        return _cmd_loadtest(args)
-    if args.command == "fuzz":
-        return _cmd_fuzz(args)
+def _cmd_certify(args) -> int:
+    program = _load_program(args.program)
+    report = certify(program, _binding(args, program))
+    if args.json:
+        from repro.analysis.tables import report_to_dict
+
+        print(json.dumps(report_to_dict(report), indent=2))
+    elif args.table:
+        from repro.analysis.tables import certification_table
+
+        print(certification_table(report))
+        print()
+        print("CERTIFIED" if report.certified else "REJECTED")
+    elif args.quiet:
+        print("CERTIFIED" if report.certified else "REJECTED")
+    else:
+        print(report.summary())
+    return 0 if report.certified else 1
+
+
+def _cmd_denning(args) -> int:
+    program = _load_program(args.program)
+    report = certify_denning(
+        program, _binding(args, program), on_concurrency=args.on_concurrency
+    )
+    print(report.summary())
+    return 0 if report.certified else 1
+
+
+def _cmd_fs_certify(args) -> int:
+    from repro.core.flowsensitive import certify_flow_sensitive
 
     program = _load_program(args.program)
+    report = certify_flow_sensitive(program, _binding(args, program))
+    print(report.summary())
+    return 0 if report.certified else 1
 
-    if args.command == "certify":
-        report = certify(program, _binding(args, program))
-        if args.json:
-            import json
 
-            from repro.analysis.tables import report_to_dict
+def _cmd_infer(args) -> int:
+    program = _load_program(args.program)
+    scheme = _scheme(args)
+    result = infer_binding(program, scheme, _classes(args))
+    print(result.explain())
+    return 0 if result.satisfiable else 1
 
-            print(json.dumps(report_to_dict(report), indent=2))
-        elif args.table:
-            from repro.analysis.tables import certification_table
 
-            print(certification_table(report))
-            print()
-            print("CERTIFIED" if report.certified else "REJECTED")
-        elif args.quiet:
-            print("CERTIFIED" if report.certified else "REJECTED")
-        else:
-            print(report.summary())
-        return 0 if report.certified else 1
+def _cmd_flow(args) -> int:
+    from repro.analysis.flowgraph import flow_graph
 
-    if args.command == "denning":
-        report = certify_denning(
-            program, _binding(args, program), on_concurrency=args.on_concurrency
-        )
-        print(report.summary())
-        return 0 if report.certified else 1
+    program = _load_program(args.program)
+    graph = flow_graph(program, _scheme(args))
+    print(f"{len(graph.edges)} direct flow edges:")
+    for a, bvar in graph.direct_edges():
+        rules = ",".join(sorted(graph.why(a, bvar)))
+        print(f"  {a} -> {bvar}   [{rules}]")
+    return 0
 
-    if args.command == "fs-certify":
-        from repro.core.flowsensitive import certify_flow_sensitive
 
-        report = certify_flow_sensitive(program, _binding(args, program))
-        print(report.summary())
-        return 0 if report.certified else 1
+def _cmd_ni(args) -> int:
+    from repro.runtime.noninterference import check_noninterference
 
-    if args.command == "flow":
-        from repro.analysis.flowgraph import flow_graph
+    program = _load_program(args.program)
+    binding = _binding(args, program)
+    observer = _parse_class(args.observer, binding.scheme)
+    variations = []
+    for spec in args.vary:
+        name, _, values = spec.partition("=")
+        for value in values.split(","):
+            variations.append({name.strip(): _integer("--vary", value)})
+    result = check_noninterference(program, binding, observer, variations)
+    print(f"noninterference holds: {result.holds} (complete={result.complete})")
+    if not result.holds:
+        i, j, outcome = result.witness()
+        print(f"  witness: variation {i} can reach {outcome}, variation {j} cannot")
+    return 0 if result.holds else 1
 
-        scheme = _scheme(args)
-        graph = flow_graph(program, scheme)
-        print(f"{len(graph.edges)} direct flow edges:")
-        for a, bvar in graph.direct_edges():
-            rules = ",".join(sorted(graph.why(a, bvar)))
-            print(f"  {a} -> {bvar}   [{rules}]")
+
+def _cmd_leak(args) -> int:
+    from repro.analysis.leaks import find_leak
+
+    program = _load_program(args.program)
+    binding = _binding(args, program)
+    observer = _parse_class(args.observer, binding.scheme)
+    values = tuple(_integer("--values", v) for v in args.values.split(","))
+    witness = find_leak(program, binding, observer, values=values)
+    if witness is None:
+        print("no leak witness found")
         return 0
+    print(str(witness))
+    return 1
 
-    if args.command == "ni":
-        from repro.runtime.noninterference import check_noninterference
 
-        binding = _binding(args, program)
-        scheme = binding.scheme
-        observer = _parse_class(args.observer, scheme)
-        variations = []
-        for spec in args.vary:
-            name, _, values = spec.partition("=")
-            for value in values.split(","):
-                variations.append({name.strip(): int(value)})
-        result = check_noninterference(program, binding, observer, variations)
-        print(f"noninterference holds: {result.holds} (complete={result.complete})")
-        if not result.holds:
-            i, j, outcome = result.witness()
-            print(f"  witness: variation {i} can reach {outcome}, variation {j} cannot")
-        return 0 if result.holds else 1
+def _cmd_prove(args) -> int:
+    from repro.lang.procs import resolve_subject
 
-    if args.command == "leak":
-        from repro.analysis.leaks import find_leak
+    program = _load_program(args.program)
+    binding = _binding(args, program)
+    program, _ = resolve_subject(program)  # certificates index the expansion
+    proof = generate_proof(program, binding)
+    checked = check_proof(proof, binding.scheme)
+    print(f"generated proof with {proof.size()} rule applications")
+    print(f"independent check: {'VALID' if checked.ok else 'INVALID'}")
+    for problem in checked.problems:
+        print(f"  {problem}")
+    print(f"completely invariant: {is_completely_invariant(proof, binding)}")
+    if args.save_cert:
+        from repro.logic.serialize import dump_proof
 
-        binding = _binding(args, program)
-        observer = _parse_class(args.observer, binding.scheme)
-        values = tuple(int(v) for v in args.values.split(","))
-        witness = find_leak(program, binding, observer, values=values)
-        if witness is None:
-            print("no leak witness found")
-            return 0
-        print(str(witness))
-        return 1
+        _write(args.save_cert, json.dumps(dump_proof(proof, program), indent=2))
+        print(f"certificate written to {args.save_cert}")
+    if args.render:
+        print(render_proof(proof))
+    return 0 if checked.ok else 1
 
-    if args.command == "infer":
-        scheme = _scheme(args)
-        fixed = {}
-        if getattr(args, "bindings", None):
-            fixed.update(_load_bindings(args.bindings))
-        fixed.update(_parse_pairs(args.bind, "--bind"))
-        result = infer_binding(program, scheme, fixed)
-        print(result.explain())
-        return 0 if result.satisfiable else 1
 
-    if args.command == "prove":
-        from repro.lang.procs import resolve_subject
+def _cmd_check_cert(args) -> int:
+    from repro.lang.procs import resolve_subject
+    from repro.logic.serialize import load_proof
 
-        binding = _binding(args, program)
-        program, _ = resolve_subject(program)  # certificates index the expansion
-        proof = generate_proof(program, binding)
-        checked = check_proof(proof, binding.scheme)
-        print(f"generated proof with {proof.size()} rule applications")
-        print(f"independent check: {'VALID' if checked.ok else 'INVALID'}")
-        for problem in checked.problems:
-            print(f"  {problem}")
-        print(f"completely invariant: {is_completely_invariant(proof, binding)}")
-        if args.save_cert:
-            import json
+    program, _ = resolve_subject(_load_program(args.program))
+    scheme = _scheme(args)
+    proof = load_proof(_read_json(args.certificate), program, scheme)
+    checked = check_proof(proof, scheme)
+    print(
+        f"certificate: {proof.size()} rule applications; "
+        f"{'VALID' if checked.ok else 'INVALID'}"
+    )
+    for problem in checked.problems[:10]:
+        print(f"  {problem}")
+    return 0 if checked.ok else 1
 
-            from repro.logic.serialize import dump_proof
 
-            with open(args.save_cert, "w", encoding="utf-8") as handle:
-                json.dump(dump_proof(proof, program), handle, indent=2)
-            print(f"certificate written to {args.save_cert}")
-        if args.render:
-            print(render_proof(proof))
-        return 0 if checked.ok else 1
+def _cmd_run(args) -> int:
+    program = _load_program(args.program)
+    scheduler = RandomScheduler(args.seed) if args.seed is not None else RoundRobinScheduler()
+    result = run_program(
+        program,
+        scheduler=scheduler,
+        store=_store(args),
+        max_steps=args.max_steps,
+        collect_trace=args.trace or args.timeline,
+    )
+    if args.timeline and result.trace:
+        from repro.analysis.timeline import render_timeline
 
-    if args.command == "check-cert":
-        import json
+        print(render_timeline(result.trace))
+    elif args.trace and result.trace:
+        for event in result.trace:
+            print(event)
+    print(f"status: {result.status} after {result.steps} steps")
+    for name in sorted(result.store):
+        print(f"  {name} = {result.store[name]}")
+    return 0 if result.completed else 1
 
-        from repro.lang.procs import resolve_subject
-        from repro.logic.serialize import load_proof
 
-        program, _ = resolve_subject(program)
-        scheme = _scheme(args)
-        with open(args.certificate, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        proof = load_proof(data, program, scheme)
-        checked = check_proof(proof, scheme)
+def _cmd_explore(args) -> int:
+    program = _load_program(args.program)
+    result = explore(program, store=_store(args), budget=_budget(args), por=args.por)
+    print(
+        f"{result.states_visited} states, {result.transitions} transitions, "
+        f"complete={result.complete}"
+    )
+    if result.degraded:
         print(
-            f"certificate: {proof.size()} rule applications; "
-            f"{'VALID' if checked.ok else 'INVALID'}"
+            f"  degraded: hit the {result.limit} budget with "
+            f"{result.abandoned} frontier state(s) abandoned"
         )
-        for problem in checked.problems[:10]:
-            print(f"  {problem}")
-        return 0 if checked.ok else 1
+    for outcome in result.sorted_outcomes():
+        print(f"  {outcome}")
+    return 0 if result.deadlock_free else 1
 
-    if args.command == "run":
-        store = {k: int(v) for k, v in _parse_pairs(args.set, "--set").items()}
-        scheduler = RandomScheduler(args.seed) if args.seed is not None else RoundRobinScheduler()
-        result = run_program(
+
+def _cmd_report(args) -> int:
+    program = _load_program(args.program)
+    print(
+        full_report(
             program,
-            scheduler=scheduler,
-            store=store,
-            max_steps=args.max_steps,
-            collect_trace=args.trace or args.timeline,
+            _binding(args, program),
+            include_source=args.source,
+            explore_budget=_budget(args) if args.explore else None,
         )
-        if args.timeline and result.trace:
-            from repro.analysis.timeline import render_timeline
-
-            print(render_timeline(result.trace))
-        elif args.trace and result.trace:
-            for event in result.trace:
-                print(event)
-        print(f"status: {result.status} after {result.steps} steps")
-        for name in sorted(result.store):
-            print(f"  {name} = {result.store[name]}")
-        return 0 if result.completed else 1
-
-    if args.command == "explore":
-        from repro.observe import Budget
-
-        store = {k: int(v) for k, v in _parse_pairs(args.set, "--set").items()}
-        budget = Budget(
-            max_states=args.max_states,
-            max_depth=args.max_depth,
-            deadline=args.deadline,
-        )
-        result = explore(program, store=store, budget=budget, por=args.por)
-        print(
-            f"{result.states_visited} states, {result.transitions} transitions, "
-            f"complete={result.complete}"
-        )
-        if result.degraded:
-            print(
-                f"  degraded: hit the {result.limit} budget with "
-                f"{result.abandoned} frontier state(s) abandoned"
-            )
-        for outcome in result.sorted_outcomes():
-            print(f"  {outcome}")
-        return 0 if result.deadlock_free else 1
-
-    if args.command == "report":
-        explore_budget = None
-        if args.explore:
-            from repro.observe import Budget
-
-            explore_budget = Budget(
-                max_states=args.max_states,
-                max_depth=args.max_depth,
-                deadline=args.deadline,
-            )
-        print(
-            full_report(
-                program,
-                _binding(args, program),
-                include_source=args.source,
-                explore_budget=explore_budget,
-            )
-        )
-        return 0
-
-    raise SystemExit(f"unknown command {args.command!r}")  # pragma: no cover
+    )
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

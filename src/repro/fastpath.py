@@ -68,7 +68,7 @@ from repro.lang.ast import (
     Wait,
     While,
 )
-from repro.pipeline.analyses import _SCHEMES
+from repro.lattice import SCHEMES
 
 __all__ = ["fused_cert", "fused_denning"]
 
@@ -182,7 +182,7 @@ def _record(subject, config: dict) -> Optional[Record]:
         subject = subject.body
     elif not isinstance(subject, Stmt):
         return None
-    if str(config.get("scheme", "")) not in _SCHEMES:
+    if str(config.get("scheme", "")) not in SCHEMES:
         return None
     try:
         high = frozenset(config.get("high", ()))

@@ -37,7 +37,9 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.errors import LoadError
 from repro.fuzz.oracles import ORACLES, OracleSkip
+from repro.lang.parser import read_source
 
 #: Version tag carried by every persisted finding.
 FINDING_SCHEMA = "repro-fuzz-finding/1"
@@ -75,17 +77,23 @@ def save_finding(directory: Union[str, Path], finding: dict) -> Path:
 def load_findings(directory: Union[str, Path]) -> List[dict]:
     """Every finding record in ``directory``, sorted by filename.
 
-    Files that are not valid finding documents raise — a corrupt
-    corpus should fail loudly, not silently drop regressions.
+    Files that are not valid finding documents raise ``ValueError``
+    and a path that is not a directory raises ``LoadError``: a corrupt
+    or moved corpus should fail loudly, not silently drop regressions.
     """
     directory = Path(directory)
+    if not directory.is_dir():
+        raise LoadError(f"cannot read {directory}: not a directory")
     records = []
     for path in sorted(directory.glob("*.json")):
-        record = json.loads(path.read_text(encoding="utf-8"))
-        if record.get("schema") != FINDING_SCHEMA:
+        try:
+            record = json.loads(read_source(str(path)))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from None
+        schema = record.get("schema") if isinstance(record, dict) else None
+        if schema != FINDING_SCHEMA:
             raise ValueError(
-                f"{path} has schema {record.get('schema')!r}, "
-                f"expected {FINDING_SCHEMA!r}"
+                f"{path} has schema {schema!r}, expected {FINDING_SCHEMA!r}"
             )
         for key in ("oracle", "kind", "source"):
             if not isinstance(record.get(key), str):

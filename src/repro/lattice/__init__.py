@@ -19,17 +19,26 @@ bound ``join`` and greatest lower bound ``meet``.  This package provides:
   used by CFM so that ``flow(S) = nil`` means "no global flow".
 
 Convenience constructors :func:`two_level`, :func:`four_level`,
-:func:`military` build the most common schemes.
+:func:`military` build the most common schemes; :data:`SCHEMES` names
+the ones the CLI, the pipeline config and the fused certifier accept.
 """
 
 from repro.lattice.base import Lattice
 from repro.lattice.chain import ChainLattice, two_level, four_level
 from repro.lattice.powerset import PowersetLattice
 from repro.lattice.product import ProductLattice, military
-from repro.lattice.finite import FiniteLattice
+from repro.lattice.finite import FiniteLattice, diamond
 from repro.lattice.extended import NIL, ExtendedLattice, Nil
 from repro.lattice.parse import load_scheme, parse_scheme
 from repro.lattice.render import hasse_edges, to_dot, ascii_order
+
+#: The named schemes, name -> constructor: ``--scheme`` and the
+#: pipeline's ``scheme`` config key choose among these.
+SCHEMES = {
+    "two-level": two_level,
+    "four-level": four_level,
+    "diamond": diamond,
+}
 
 __all__ = [
     "Lattice",
@@ -43,6 +52,7 @@ __all__ = [
     "two_level",
     "four_level",
     "military",
+    "SCHEMES",
     "hasse_edges",
     "to_dot",
     "ascii_order",

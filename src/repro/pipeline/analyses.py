@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple, Union
 
 from repro.lang.ast import Program, Stmt, program_size, used_variables
-from repro.lattice.chain import four_level, two_level
-from repro.lattice.finite import diamond
+from repro.lattice import SCHEMES
 
 #: Configuration defaults; ``run_pipeline`` overlays user overrides.
 DEFAULT_CONFIG: Dict[str, object] = {
@@ -57,18 +56,12 @@ DEFAULT_CONFIG: Dict[str, object] = {
     "fastpath": True,
 }
 
-_SCHEMES = {
-    "two-level": two_level,
-    "four-level": four_level,
-    "diamond": diamond,
-}
-
 Subject = Union[Program, Stmt]
 
 
 def scheme_names() -> Tuple[str, ...]:
     """The schemes the pipeline configuration accepts."""
-    return tuple(sorted(_SCHEMES))
+    return tuple(sorted(SCHEMES))
 
 
 def _is_int(value: object) -> bool:
@@ -128,7 +121,7 @@ def _binding(subject: Subject, config: dict):
     """The config-derived policy: ``high`` names top, the rest bottom."""
     from repro.core.binding import StaticBinding
 
-    scheme = _SCHEMES[str(config["scheme"])]()
+    scheme = SCHEMES[str(config["scheme"])]()
     stmt = subject.body if isinstance(subject, Program) else subject
     high = frozenset(config["high"])
     classes = {

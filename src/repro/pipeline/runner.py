@@ -77,11 +77,6 @@ MAX_TASK_ATTEMPTS = 3
 #: Characters of formatted traceback kept in an error record.
 _TRACEBACK_LIMIT = 1_000
 
-#: Test seam: when set (module-level, inherited by forked workers), it
-#: is called with each payload before the analysis runs — the only way
-#: to deterministically simulate a dying worker in the test suite.
-_INJECT_FAULT = None
-
 #: Auto chunk sizing aims at about this many chunks per worker: large
 #: enough to amortize submission/pickling over many cells, small
 #: enough that one slow chunk cannot serialize the tail of the run.
@@ -148,8 +143,6 @@ def _compute(payload: Tuple[_Source, str, str, dict]) -> dict:
     shared, kind, analysis, config = payload
     source = shared.text
     spec = ANALYSES[analysis]
-    if _INJECT_FAULT is not None:
-        _INJECT_FAULT((source, kind, analysis, config))
     started = time.perf_counter()
     try:
         subject = shared.parsed.get(kind)

@@ -20,9 +20,9 @@ Four phases:
 4. **teardown** — ``/metrics`` is fetched and schema-validated, then
    SIGTERM; a clean drain-and-exit is part of the report.
 
-``benchmarks/bench_serve.py`` turns the report into
-``BENCH_serve.json``; every number in that artifact is produced by
-this module against a live server — nothing is hand-written.
+``make bench-serve`` writes the full-mode report to
+``BENCH_serve.json`` (``repro loadtest --out``); every number in it is
+produced by this module against a live server — nothing is hand-written.
 """
 
 from __future__ import annotations

@@ -167,13 +167,13 @@ def test_crash_in_a_chunk_retries_cellmates_and_abandons_the_poison(
     down — but only *it* may be abandoned; its innocent chunk-mates
     must be retried (in singleton chunks) to completion, and the
     ``computed`` stat must not count the abandoned WorkerCrash cell."""
-    from repro.pipeline import runner
+    from tests.pipeline.faults import inject_fault
 
     def die_on_poison(payload):
         if "kaboom" in payload[0]:
             os._exit(13)
 
-    monkeypatch.setattr(runner, "_INJECT_FAULT", die_on_poison)
+    inject_fault(monkeypatch, die_on_poison)
     result = run_pipeline(
         _poison_corpus(),
         analyses=("cert",),
@@ -198,7 +198,7 @@ def test_crash_in_a_chunk_retries_cellmates_and_abandons_the_poison(
 def test_transient_crash_in_a_chunk_recovers_every_cell(
     tmp_path, monkeypatch
 ):
-    from repro.pipeline import runner
+    from tests.pipeline.faults import inject_fault
 
     tombstone = tmp_path / "crashed-once"
 
@@ -207,7 +207,7 @@ def test_transient_crash_in_a_chunk_recovers_every_cell(
             tombstone.write_text("")
             os._exit(13)
 
-    monkeypatch.setattr(runner, "_INJECT_FAULT", die_once)
+    inject_fault(monkeypatch, die_once)
     result = run_pipeline(
         _poison_corpus(),
         analyses=("cert",),

@@ -154,3 +154,19 @@ def test_por_disabled_under_a_monitor():
     monitor = TaintMonitor.from_binding(binding, ("x", "y"))
     monitored = explore(stmt, monitor=monitor, por=True)
     assert monitored.por is False  # fell back to the naive exploration
+
+
+def test_por_completes_what_the_naive_search_cannot_under_the_pipeline_budget():
+    """Why ``por`` stays: under the pipeline's default budget, the fuzz
+    campaign's runtime-safe program for seed 47 completes only with
+    the reduction; the naive search runs out of states and degrades."""
+    from repro.fuzz.driver import generate_subject
+    from repro.pipeline.analyses import ANALYSES, DEFAULT_CONFIG
+
+    subject = generate_subject(47, "runtime_safe")
+    run = ANALYSES["explore"].run
+    reduced = run(subject, dict(DEFAULT_CONFIG))
+    assert reduced["por"] and reduced["complete"]
+    assert reduced["states"] < DEFAULT_CONFIG["max_states"]
+    naive = run(subject, dict(DEFAULT_CONFIG, por=False))
+    assert naive["degraded"] and naive["limit"] == "states"

@@ -173,12 +173,13 @@ def test_error_records_are_structured():
 
 # -- crash isolation ---------------------------------------------------------
 #
-# ``runner._INJECT_FAULT`` is the deterministic stand-in for a worker
-# dying mid-task (MemoryError escaping the interpreter, the OOM killer,
-# a segfault).  Workers are forked, so a monkeypatched module global is
-# inherited; ``os._exit`` skips every Python-level cleanup exactly like
-# a real kill.  These tests require jobs > 1: the injected fault must
-# never run in the pytest process itself.
+# ``inject_fault`` (``tests/pipeline/faults.py``) is the deterministic
+# stand-in for a worker dying mid-task (MemoryError escaping the
+# interpreter, the OOM killer, a segfault).  Workers are forked, so a
+# monkeypatched analysis registry is inherited; ``os._exit`` skips every
+# Python-level cleanup exactly like a real kill.  These tests require
+# jobs > 1: the injected fault must never run in the pytest process
+# itself.
 
 
 def _poison_corpus():
@@ -195,12 +196,13 @@ def test_worker_crash_is_isolated_and_abandoned(monkeypatch):
     import os
 
     from repro.pipeline import runner
+    from tests.pipeline.faults import inject_fault
 
     def die_on_poison(payload):
         if "kaboom" in payload[0]:
             os._exit(13)
 
-    monkeypatch.setattr(runner, "_INJECT_FAULT", die_on_poison)
+    inject_fault(monkeypatch, die_on_poison)
     result = run_pipeline(
         _poison_corpus(), analyses=("cert",), jobs=2, use_cache=False
     )
@@ -219,7 +221,7 @@ def test_worker_crash_is_isolated_and_abandoned(monkeypatch):
 def test_transient_worker_crash_is_retried_to_success(tmp_path, monkeypatch):
     import os
 
-    from repro.pipeline import runner
+    from tests.pipeline.faults import inject_fault
 
     tombstone = tmp_path / "crashed-once"
 
@@ -228,7 +230,7 @@ def test_transient_worker_crash_is_retried_to_success(tmp_path, monkeypatch):
             tombstone.write_text("")
             os._exit(13)
 
-    monkeypatch.setattr(runner, "_INJECT_FAULT", die_once)
+    inject_fault(monkeypatch, die_once)
     result = run_pipeline(
         _poison_corpus(), analyses=("cert",), jobs=2, use_cache=False
     )
@@ -244,13 +246,13 @@ def test_transient_worker_crash_is_retried_to_success(tmp_path, monkeypatch):
 def test_worker_crash_records_are_not_cached(monkeypatch):
     import os
 
-    from repro.pipeline import runner
+    from tests.pipeline.faults import inject_fault
 
     def die_on_poison(payload):
         if "kaboom" in payload[0]:
             os._exit(13)
 
-    monkeypatch.setattr(runner, "_INJECT_FAULT", die_on_poison)
+    inject_fault(monkeypatch, die_on_poison)
     import tempfile
 
     with tempfile.TemporaryDirectory() as cache_dir:
@@ -260,7 +262,7 @@ def test_worker_crash_records_are_not_cached(monkeypatch):
         assert first.program("kaboom")["analyses"]["cert"]["error_type"] == (
             "WorkerCrash"
         )
-        monkeypatch.setattr(runner, "_INJECT_FAULT", None)
+        inject_fault(monkeypatch, None)
         second = run_pipeline(
             _poison_corpus(), analyses=("cert",), jobs=2, cache_dir=cache_dir
         )
@@ -337,7 +339,7 @@ def test_retry_after_crash_gets_remaining_deadline_not_original(
     import os
     import time
 
-    from repro.pipeline import runner
+    from tests.pipeline.faults import inject_fault
 
     log = tmp_path / "deadlines.jsonl"
     tombstone = tmp_path / "crashed-once"
@@ -351,7 +353,7 @@ def test_retry_after_crash_gets_remaining_deadline_not_original(
                 time.sleep(0.2)  # burn wall clock against the grant
                 os._exit(13)
 
-    monkeypatch.setattr(runner, "_INJECT_FAULT", record_and_die_once)
+    inject_fault(monkeypatch, record_and_die_once)
     result = run_pipeline(
         _poison_corpus(),
         analyses=("cert",),

@@ -81,3 +81,42 @@ def test_cli_wires_loadtest_and_serve_front_line_flags():
     assert args.command == "loadtest"
     assert args.smoke and args.out == "x.json"
     assert args.duration == 10.0 and args.overload_clients == 32
+
+
+def test_full_mode_gates_set_the_exit_status(monkeypatch, capsys, tmp_path):
+    """Without ``--smoke``, a campaign that drew no 429, lost a
+    ``/healthz`` probe under overload or sustained under 10 requests
+    per second fails; with ``--smoke`` only the correctness gates
+    count."""
+    from repro.cli import main
+    from repro.service import loadtest
+
+    def canned(rejected, probes_ok, rps):
+        return {
+            "identity": {"invalid_documents": 0},
+            "loadtest": {"network_errors": 0, "rps_sustained": rps},
+            "metrics_valid": True,
+            "clean_exit": True,
+            "overload": {
+                "rejected_busy_429": rejected,
+                "healthz": {"probes": 4, "ok": probes_ok},
+            },
+        }
+
+    payload = canned(rejected=0, probes_ok=3, rps=3.5)
+    monkeypatch.setattr(loadtest, "run_loadtest", lambda options: payload)
+    assert main(["loadtest"]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL: the overload phase drew no 429" in err
+    assert "FAIL: 3 of 4 /healthz probes answered 200 under overload" in err
+    assert "FAIL: the steady phase sustained 3.5 requests/s, below 10" in err
+    assert main(["loadtest", "--smoke"]) == 0
+    assert capsys.readouterr().err == ""
+
+    payload = canned(rejected=7, probes_ok=4, rps=10.0)
+    assert main(["loadtest"]) == 0
+    assert capsys.readouterr().err == ""
+
+    out = tmp_path / "no-such-dir" / "report.json"
+    assert main(["loadtest", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")

@@ -250,6 +250,66 @@ def test_bad_counts_and_unreadable_files_are_usage_errors(
         assert err.startswith(f"error: cannot read {named}: ")
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["run", "{program}", "--set", "x=abc"], "--set: 'abc'"),
+    (["explore", "{program}", "--set", "x=1.5"], "--set: '1.5'"),
+    (["ni", "{program}", "--default", "low", "--observer", "low",
+      "--vary", "x=a,b"], "--vary: 'a'"),
+    (["ni", "{program}", "--default", "low", "--observer", "low",
+      "--vary", "x"], "--vary: ''"),
+    (["leak", "{program}", "--default", "low", "--observer", "low",
+      "--values", "a,b"], "--values: 'a'"),
+    (["certify", "{program}", "--bindings", "{missing}"],
+     "cannot read {missing}"),
+    (["infer", "{program}", "--bindings", "{missing}"],
+     "cannot read {missing}"),
+    (["lint", "{program}", "--bindings", "{missing}"],
+     "cannot read {missing}"),
+    (["certify", "{program}", "--bindings", "{garbled}"],
+     "{garbled} is not JSON"),
+    (["check-cert", "{program}", "{missing}"], "cannot read {missing}"),
+    (["check-cert", "{program}", "{garbled}"], "{garbled} is not JSON"),
+    (["certify", "{program}", "--scheme-file", "{missing}"],
+     "cannot read {missing}"),
+    (["prove", "{program}", "--default", "low", "--save-cert", "{nodir}"],
+     "cannot write {nodir}"),
+    (["batch", "{program}", "--no-cache", "--analyses", "cert",
+      "--metrics", "{nodir}"], "cannot write {nodir}"),
+    (["batch", "{program}", "--no-cache", "--analyses", "cert",
+      "--trace", "{nodir}"], "cannot write {nodir}"),
+    (["fuzz", "--seeds", "1", "--oracles", "parse-pretty",
+      "--metrics", "{nodir}"], "cannot write {nodir}"),
+    (["fuzz", "--replay", "{missing}"], "cannot read {missing}"),
+    (["fuzz", "--replay", "{corpus}"], "{corpus}/garbled.json is not JSON"),
+    (["fuzz", "--replay", "{listed}"], "{listed}/list.json has schema None"),
+])
+def test_bad_values_and_files_are_one_line_errors(tmp_path, capsys, argv, named):
+    """Regression: each of these died with a traceback and exit 1, and
+    ``fuzz --replay`` of a missing directory replayed nothing and
+    passed (exit 0)."""
+    program = tmp_path / "p.rl"
+    program.write_text("var x, y : integer; begin x := 1; y := x end")
+    (tmp_path / "garbled.json").write_text("{not json")
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "garbled.json").write_text("{not json")
+    (tmp_path / "listed").mkdir()
+    (tmp_path / "listed" / "list.json").write_text("[1, 2]")
+    paths = {
+        "program": str(program),
+        "missing": str(tmp_path / "missing.json"),
+        "garbled": str(tmp_path / "garbled.json"),
+        "nodir": str(tmp_path / "no-such-dir" / "out.json"),
+        "corpus": str(tmp_path / "corpus"),
+        "listed": str(tmp_path / "listed"),
+    }
+    argv = [arg.format(**paths) for arg in argv]
+    code = _exit_code(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named.format(**paths) in err
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("command", [
     ["certify", "--default", "low"],
