@@ -88,6 +88,17 @@ def test_key_changes_with_scheme_policy_and_version():
         assert bumped[name] != base[name], name
 
 
+def test_pre_creep_fix_lint_entries_miss_cleanly():
+    """Lint cells cached by 1.2.x must re-key, not replay.
+
+    Since 1.3.0 lint reports RPL501 for every variable whose least class
+    is not below its binding, also when another check fails too, so a
+    1.2.x lint cell can lack findings the current code emits.
+    """
+    assert repro.__version__ != "1.2.0"
+    assert _keys_for({})["lint"] != _keys_for({}, version="1.2.0")["lint"]
+
+
 def test_pre_fastpath_entries_miss_cleanly(tmp_path):
     """Stale 1.1.x cert/denning/lint entries must re-key, not replay.
 

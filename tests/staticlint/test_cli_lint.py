@@ -159,3 +159,14 @@ class TestPythonModules:
         )
         assert code == 1
         assert "RPL501" in out
+
+    def test_relayed_leak_exits_1(self, capsys, tmp_path):
+        """h reaches l through m: the binding fails and so must lint."""
+        path = tmp_path / "chain.rl"
+        path.write_text("var h, m, l : integer; begin m := h; l := m end\n")
+        code, out, _ = run_cli(
+            capsys, "lint", "--bind", "h=high", "--default", "low", str(path)
+        )
+        assert code == 1
+        assert "RPL501" in out
+        assert "'m'" in out

@@ -1,7 +1,10 @@
 """Golden-output tests: exact codes and spans per lint pass."""
 
+import pytest
+
 from repro.lang.parser import parse_program, parse_statement
 from repro.staticlint import run_lint, static_deadlock
+from repro.workloads.litmus import CASES
 from repro.workloads.paper import figure3_program
 
 
@@ -214,6 +217,45 @@ class TestLabelPass:
         result = run_lint(parse_statement("l := h"))
         assert "RPL501" not in codes(result)
         assert "RPL503" not in codes(result)
+
+    @pytest.mark.parametrize(
+        "source,flagged",
+        [
+            # freeing m raises it to high, which breaks the next hop
+            ("begin m := h; l := m end", [("m", "high")]),
+            # two independent leaks must not veto each other's report
+            ("begin l1 := h1; l2 := h2 end", [("l1", "high"), ("l2", "high")]),
+        ],
+    )
+    def test_creep_reported_when_another_check_fails_too(self, source, flagged):
+        from repro.core.binding import StaticBinding
+        from repro.lattice.chain import two_level
+
+        scheme = two_level()
+        binding = StaticBinding(
+            scheme,
+            {"h": scheme.top, "h1": scheme.top, "h2": scheme.top},
+            default=scheme.bottom,
+        )
+        result = run_lint(
+            parse_statement(source), binding=binding, select=("RPL501",)
+        )
+        assert [
+            (dict(d.extra)["variable"], dict(d.extra)["required"])
+            for d in result.diagnostics
+        ] == flagged
+
+    @pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
+    def test_pipeline_lint_flags_exactly_the_cases_cfm_rejects(self, case):
+        """The pipeline's default policy is the litmus binding (h, h2
+        high), so its lint reports RPL501 exactly where CFM rejects,
+        including the cross-process relay and the section 4.3
+        synchronization flow (semaphore-order)."""
+        from repro.pipeline.analyses import ANALYSES, DEFAULT_CONFIG
+
+        document = ANALYSES["lint"].run(case.statement(), dict(DEFAULT_CONFIG))
+        found = [d["code"] for d in document["diagnostics"]]
+        assert ("RPL501" in found) == (not case.cfm)
 
 
 class TestFiltering:
