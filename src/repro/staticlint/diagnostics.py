@@ -75,8 +75,8 @@ CODES: Dict[str, Tuple[str, str, str]] = {
     "RPL402": ("unused-semaphore", Severity.WARNING,
                "a semaphore is declared but never waited on or signalled"),
     "RPL501": ("label-creep", Severity.ERROR,
-               "certification requires a strictly higher class for a "
-               "variable than its policy binding grants"),
+               "certification requires a class for a variable that is "
+               "not below its policy binding"),
     "RPL502": ("synchronization-channel", Severity.WARNING,
                "a wait/signal is control-dependent on data: the order of "
                "semaphore operations carries information (Figure 3)"),
