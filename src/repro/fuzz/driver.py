@@ -8,13 +8,15 @@ violation is immediately minimized in-worker with the delta-debugging
 shrinker (the predicate: the *same oracle* still reports a violation
 or crashes), so the driver only ever surfaces 1-minimal findings.
 
-Scale-out reuses the batch pipeline's :class:`~repro.pipeline.runner.
-WorkerPool` — the same crash isolation (a seed that kills its worker
-is retried, then abandoned as an error record, never lost silently)
-and the same deadline repricing (the payload convention puts the
-config dict last).  ``deadline`` rides in the analysis config, so a
-runaway exploration degrades to an inconclusive *skip* instead of
-hanging the campaign.
+Scale-out shares the batch pipeline's dispatch path: the same choice
+of pool (a caller-owned one, in-process for one seed or ``jobs <= 1``,
+else a campaign-owned :class:`~repro.pipeline.runner.WorkerPool`
+closed at the end), the same crash isolation (a seed that kills its
+worker is retried, then abandoned as a ``WorkerCrash`` error record,
+never lost silently) and the same deadline repricing (the payload
+convention puts the config dict last).  ``deadline`` rides in the
+analysis config, so a runaway exploration degrades to an inconclusive
+*skip* instead of hanging the campaign.
 
 The campaign result aggregates per-oracle counters into the ``fuzz``
 section of the ``repro-metrics/1`` document (see
@@ -33,7 +35,7 @@ from repro.lang.ast import Program
 from repro.lang.pretty import pretty
 from repro.observe.metrics import MetricsAggregator
 from repro.pipeline.analyses import DEFAULT_CONFIG, check_config
-from repro.pipeline.runner import WorkerPool, _Task
+from repro.pipeline.runner import WorkerPool, _execute
 
 #: The campaign's analysis-config defaults.  Budgets sit well below
 #: the pipeline's: a fuzz campaign runs hundreds of explorations and
@@ -238,10 +240,11 @@ def run_fuzz(
     the registry (default: all).  ``config`` overlays
     :data:`FUZZ_CONFIG`; ``deadline`` (seconds) bounds each oracle's
     exploration wall-clock.  With ``corpus_dir`` every minimized
-    finding is persisted for replay.  ``jobs > 1`` fans seeds over a
-    :class:`WorkerPool` (or a caller-owned ``pool``);
-    ``chunk_size`` overrides how many seeds ride in one submitted
-    worker task (default: auto-sized, see ``docs/pipeline.md``).
+    finding is persisted for replay.  ``jobs > 1`` fans two or more
+    seeds over a :class:`WorkerPool` (a caller-owned ``pool`` runs
+    every campaign); ``chunk_size`` overrides how many seeds ride in
+    one submitted worker task (default: auto-sized, see
+    ``docs/pipeline.md``).
     """
     started = time.perf_counter()
     names = tuple(oracles) if oracles is not None else tuple(sorted(ORACLES))
@@ -262,25 +265,15 @@ def run_fuzz(
         observer = MetricsAggregator()
 
     seed_list = list(range(seed_start, seed_start + seeds))
-    payloads = [(seed, names, do_shrink, dict(merged)) for seed in seed_list]
-    if jobs > 1 or pool is not None:
-        pending = [
-            _Task(i, f"seed-{seed}", "", "fuzz", "fuzz")
-            for i, seed in enumerate(seed_list)
-        ]
-        own = None
-        if pool is None:
-            own = pool = WorkerPool(jobs)
-        try:
-            envelopes = pool.run(
-                pending, payloads, observer, fn=_fuzz_worker,
-                chunk_size=chunk_size,
-            )
-        finally:
-            if own is not None:
-                own.close()
-    else:
-        envelopes = [_fuzz_worker(payload) for payload in payloads]
+    envelopes = _execute(
+        [(f"seed-{seed}", "fuzz") for seed in seed_list],
+        [(seed, names, do_shrink, dict(merged)) for seed in seed_list],
+        jobs,
+        observer,
+        fn=_fuzz_worker,
+        pool=pool,
+        chunk_size=chunk_size,
+    )
 
     result = FuzzResult(seeds=seeds)
     for seed, envelope in zip(seed_list, envelopes):

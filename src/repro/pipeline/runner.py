@@ -11,7 +11,8 @@ document.  The execution strategy:
 2. the parent resolves cache hits up front (a warm run never touches
    the pool at all, which is what makes re-runs near-free);
 3. the remaining tasks go to a ``concurrent.futures`` process pool
-   when ``jobs > 1``.  Tasks are dispatched in *chunks*: many
+   when ``jobs > 1`` and more than one misses (a caller-owned pool
+   always gets them).  Tasks are dispatched in *chunks*: many
    (program, analysis) cells ride one submitted task, so executor
    dispatch and pickling are amortized instead of dominating tiny
    analyses (``chunk_size``; auto-sized from the pending-cell count
@@ -28,7 +29,10 @@ worker that *dies* (``MemoryError`` escaping the interpreter, a
 signal, ``os._exit``) breaks the pool, which the parent rebuilds —
 surviving tasks are retried a bounded number of times and a task that
 repeatedly kills its worker is abandoned with a ``WorkerCrash`` error
-record.  An analysis that exhausts its :class:`repro.observe.Budget`
+record.  Every dispatch round — the first, and each retry round —
+goes through :meth:`WorkerPool.run`'s one submit-and-collect step, and
+the fuzz driver shares the pipeline's pool lifecycle (:func:`_execute`).
+An analysis that exhausts its :class:`repro.observe.Budget`
 (``deadline=...``) returns a partial result flagged ``degraded``;
 degraded results are reported but never cached.
 
@@ -57,7 +61,6 @@ import pickle
 import threading
 import time
 import traceback
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import repro
@@ -83,24 +86,13 @@ _TRACEBACK_LIMIT = 1_000
 _CHUNKS_PER_WORKER = 4
 
 
-@dataclass(frozen=True)
-class _Task:
-    """One unit of work: run ``analysis`` on the program at ``index``."""
-
-    index: int  # position in the sorted program list
-    name: str
-    source: str
-    kind: str  # "program" | "statement"
-    analysis: str
-
-
 class _Source:
     """A canonical source text shared by every cell of its program.
 
     ``parsed`` (kind -> subject) is the worker parse memo; it holds
     successful parses only.  One ``pickle.dumps`` sends a shared object
     once, so a worker gets one ``_Source`` per program per chunk (an
-    in-process run, one per :func:`_execute` call).  ``__reduce__``
+    in-process run, one per :func:`run_pipeline` call).  ``__reduce__``
     sends the text only, never a parse.
     """
 
@@ -377,11 +369,19 @@ def run_pipeline(
 
     results: Dict[Tuple[int, str], dict] = {}
     cached_cells: set = set()
-    pending: List[_Task] = []
     keys: Dict[Tuple[int, str], str] = {}
+    # The cache misses: their cells, labels and worker payloads.  Every
+    # cell of one program shares one :class:`_Source`, so a chunk
+    # pickles each of its programs' text once; each cell gets its *own*
+    # config dict, so a per-task budget (``deadline``) starts from the
+    # task's own clock, never from a sibling's partially-spent one.
+    pending: List[Tuple[int, str]] = []
+    labels: List[Tuple[str, str]] = []
+    payloads: List[tuple] = []
+    sources: Dict[str, _Source] = {}
     for index, (name, source, kind) in enumerate(entries):
         for analysis in analyses:
-            task = _Task(index, name, source, kind, analysis)
+            cell = (index, analysis)
             if cache is not None:
                 key = cache_key(
                     source,
@@ -390,22 +390,26 @@ def run_pipeline(
                     ANALYSES[analysis].config_slice(merged),
                     repro.__version__,
                 )
-                keys[(index, analysis)] = key
+                keys[cell] = key
                 hit = cache.get(key)
                 if hit is not None:
-                    results[(index, analysis)] = hit
-                    cached_cells.add((index, analysis))
+                    results[cell] = hit
+                    cached_cells.add(cell)
                     continue
-            pending.append(task)
+            if source not in sources:
+                sources[source] = _Source(source)
+            pending.append(cell)
+            labels.append((name, analysis))
+            payloads.append((sources[source], kind, analysis, dict(merged)))
 
     computed = _execute(
-        pending, merged, jobs, observer, pool=pool, chunk_size=chunk_size
+        labels, payloads, jobs, observer, pool=pool, chunk_size=chunk_size
     )
     seconds: Dict[Tuple[int, str], Optional[float]] = {}
-    for task, envelope in zip(pending, computed):
+    for cell, envelope in zip(pending, computed):
         result = envelope["result"]
-        results[(task.index, task.analysis)] = result
-        seconds[(task.index, task.analysis)] = envelope.get("seconds")
+        results[cell] = result
+        seconds[cell] = envelope.get("seconds")
         if cache is not None:
             if result.get("degraded"):
                 # A budget-truncated partial result is a fact about
@@ -415,9 +419,7 @@ def run_pipeline(
             elif result.get("error_type") == "WorkerCrash":
                 pass  # environment trouble, not a property of the program
             else:
-                cache.put(
-                    keys[(task.index, task.analysis)], task.analysis, result
-                )
+                cache.put(keys[cell], cell[1], result)
 
     for index, (name, source, kind) in enumerate(entries):
         for analysis in analyses:
@@ -535,7 +537,9 @@ class WorkerPool:
     killing its worker is abandoned with a ``WorkerCrash`` record
     after :data:`MAX_TASK_ATTEMPTS` attempts, and a retried
     deadline-carrying task only gets the *remaining* wall-clock budget
-    (see :func:`_reprice_deadline`).
+    (see :func:`_reprice_deadline`).  Both the batch pipeline and the
+    fuzz driver dispatch through :meth:`run`, which names each cell by
+    its ``(program, analysis)`` label.
 
     Thread-safe: concurrent ``run`` calls (service requests) share the
     executor; only creation/teardown is serialized.  ``submitted``
@@ -608,25 +612,28 @@ class WorkerPool:
 
     def run(
         self,
-        pending: List[_Task],
+        labels: List[Tuple[str, str]],
         payloads: List[tuple],
         observer: MetricsAggregator,
         fn=None,
         chunk_size: Optional[int] = None,
     ) -> List[dict]:
-        """Run one batch of tasks, retrying across worker crashes.
+        """Run one batch of cells, retrying across worker crashes.
 
-        Returns one envelope per task, in task order (so the assembled
-        document never depends on completion order).  Cells are
-        dispatched in chunks of ``chunk_size`` (default: auto-sized —
-        see :func:`_auto_chunk_size`): each
-        chunk is one submitted :func:`_run_chunk` task returning a
-        batched list of envelopes, with per-cell exception isolation
-        inside the chunk.  When a worker dies the broken executor is
-        rebuilt and only the unfinished cells are retried, up to
-        :data:`MAX_TASK_ATTEMPTS` attempts per cell; retried cells go
-        into singleton chunks so an innocent cell is never re-killed
-        by the cell that broke its chunk's worker.
+        Returns one envelope per payload, in payload order (so the
+        assembled document never depends on completion order).
+        ``labels`` names each cell ``(program, analysis)`` in the
+        ``task_retry``/``task_abandoned`` events and ``WorkerCrash``
+        records.  Every round goes through one submit-and-collect step:
+        the first round hands it all of its chunks of ``chunk_size``
+        cells (default: auto-sized — see :func:`_auto_chunk_size`),
+        each one submitted :func:`_run_chunk` task with per-cell
+        exception isolation inside.  When a worker dies the broken
+        executor is rebuilt and only the unfinished cells are retried,
+        up to :data:`MAX_TASK_ATTEMPTS` attempts per cell; a retry
+        round hands the step one singleton chunk at a time, so an
+        innocent cell is never re-killed by the cell that broke its
+        worker.
 
         ``fn`` is the per-cell worker entry point (default
         :func:`_compute`); it must be a top-level picklable callable
@@ -645,9 +652,8 @@ class WorkerPool:
         results: List[Optional[dict]] = [None] * len(payloads)
         attempts = [0] * len(payloads)
         first_submitted: List[Optional[float]] = [None] * len(payloads)
-        remaining = list(range(len(payloads)))
 
-        def _batch_for(cells: List[int], now: float) -> List[tuple]:
+        def submit(executor, cells: List[int], now: float):
             batch = []
             for i in cells:
                 payload = payloads[i]
@@ -659,9 +665,7 @@ class WorkerPool:
                         _reprice_deadline(config, first_submitted[i], now),
                     )
                 batch.append(payload)
-            return batch
-
-        def _account_submit(cells: List[int], batch, now: float) -> None:
+            future = executor.submit(_run_chunk, fn, batch)
             # Only now did these cells genuinely reach the executor;
             # stamping before a submit that never happens would charge
             # never-run cells wall-clock and wrongly shorten their
@@ -678,111 +682,82 @@ class WorkerPool:
                 # records below; the ledger just can't price it.
                 nbytes = 0
             observer.chunk(cells=len(cells), bytes_pickled=nbytes)
+            return future
 
+        def submit_and_collect(chunks: List[List[int]], now: float) -> None:
+            executor = self._handle(observer)
+            broken = False
+            futures: Dict[object, List[int]] = {}
+            try:
+                for cells in chunks:
+                    futures[submit(executor, cells, now)] = cells
+            except (BrokenProcessPool, RuntimeError):
+                # the executor broke (perhaps under a concurrent run())
+                # before every chunk was submitted; collect what was
+                broken = True
+            # A break fails every unfinished future at once, so waiting
+            # for all of them also keeps each chunk that finished first.
+            for future in as_completed(futures):
+                cells = futures[future]
+                try:
+                    envelopes = future.result()
+                except BrokenProcessPool:
+                    broken = True
+                    continue
+                except Exception as exc:  # e.g. an unpicklable chunk
+                    envelopes = [
+                        {"result": _error_record(exc), "seconds": None}
+                        for _ in cells
+                    ]
+                for i, envelope in zip(cells, envelopes):
+                    results[i] = envelope
+            if broken:
+                self._discard(executor)
+                observer.event("pool_broken")
+
+        remaining = list(range(len(payloads)))
         while remaining:
             now = time.monotonic()
-            size = chunk_size or _auto_chunk_size(len(remaining), self.jobs)
-            fresh = [i for i in remaining if attempts[i] == 0]
-            suspects = [i for i in remaining if attempts[i] > 0]
-            chunks = [
-                fresh[pos:pos + size] for pos in range(0, len(fresh), size)
-            ]
-            chunks.extend([i] for i in suspects)
-            if suspects:
-                # Retry rounds run their chunks one at a time.  A
+            if any(attempts):
+                # Retry rounds run their singletons one at a time.  A
                 # suspect that kills its worker breaks the whole
                 # executor, failing every future in flight — submitted
                 # concurrently, one poison cell would charge innocent
                 # singletons an attempt per round and abandon them.
-                # Sequential dispatch means a crasher can only fail
-                # itself; the pool is rebuilt before the next chunk.
-                for cells in chunks:
-                    batch = _batch_for(cells, now)
-                    pool = self._handle(observer)
-                    try:
-                        future = pool.submit(_run_chunk, fn, batch)
-                        _account_submit(cells, batch, now)
-                        envelopes = future.result()
-                    except (BrokenProcessPool, RuntimeError):
-                        self._discard(pool)
-                        observer.event("pool_broken")
-                        continue
-                    except Exception as exc:
-                        envelopes = [
-                            {"result": _error_record(exc), "seconds": None}
-                            for _ in cells
-                        ]
-                    for i, envelope in zip(cells, envelopes):
-                        results[i] = envelope
+                # One at a time, a crasher can only fail itself; the
+                # pool is rebuilt before the next singleton.
+                for i in remaining:
+                    submit_and_collect([[i]], now)
             else:
-                pool = self._handle(observer)
-                broken = False
-                futures: Dict[object, List[int]] = {}
-                try:
-                    for cells in chunks:
-                        batch = _batch_for(cells, now)
-                        future = pool.submit(_run_chunk, fn, batch)
-                        _account_submit(cells, batch, now)
-                        futures[future] = cells
-                except (BrokenProcessPool, RuntimeError):
-                    # the executor broke under a concurrent run() before
-                    # we finished submitting; collect what we did submit
-                    broken = True
-                try:
-                    for future in as_completed(futures):
-                        cells = futures[future]
-                        try:
-                            envelopes = future.result()
-                        except BrokenProcessPool:
-                            broken = True
-                            break
-                        except Exception as exc:  # e.g. an unpicklable chunk
-                            envelopes = [
-                                {"result": _error_record(exc), "seconds": None}
-                                for _ in cells
-                            ]
-                        for i, envelope in zip(cells, envelopes):
-                            results[i] = envelope
-                    # A pool break fails every unfinished future at once;
-                    # sweep up the chunks that finished before the crash.
-                    if broken:
-                        for future, cells in futures.items():
-                            if not future.done():
-                                continue
-                            try:
-                                envelopes = future.result()
-                            except Exception:
-                                continue
-                            for i, envelope in zip(cells, envelopes):
-                                if results[i] is None:
-                                    results[i] = envelope
-                finally:
-                    if broken:
-                        self._discard(pool)
-                        observer.event("pool_broken")
+                size = chunk_size or _auto_chunk_size(len(remaining), self.jobs)
+                submit_and_collect(
+                    [remaining[pos:pos + size]
+                     for pos in range(0, len(remaining), size)],
+                    now,
+                )
             retry = []
-            for index in remaining:
-                if results[index] is not None:
+            for i in remaining:
+                if results[i] is not None:
                     continue
-                attempts[index] += 1
-                if attempts[index] >= MAX_TASK_ATTEMPTS:
-                    results[index] = _crash_record(
-                        attempts[index],
-                        f"{pending[index].name}/{pending[index].analysis}",
+                attempts[i] += 1
+                program, analysis = labels[i]
+                if attempts[i] >= MAX_TASK_ATTEMPTS:
+                    results[i] = _crash_record(
+                        attempts[i], f"{program}/{analysis}"
                     )
                     observer.event(
                         "task_abandoned",
-                        program=pending[index].name,
-                        analysis=pending[index].analysis,
-                        attempts=attempts[index],
+                        program=program,
+                        analysis=analysis,
+                        attempts=attempts[i],
                     )
                 else:
-                    retry.append(index)
+                    retry.append(i)
                     observer.event(
                         "task_retry",
-                        program=pending[index].name,
-                        analysis=pending[index].analysis,
-                        attempt=attempts[index],
+                        program=program,
+                        analysis=analysis,
+                        attempt=attempts[i],
                     )
             remaining = retry
         assert all(envelope is not None for envelope in results)
@@ -790,38 +765,33 @@ class WorkerPool:
 
 
 def _execute(
-    pending: List[_Task],
-    config: dict,
+    labels: List[Tuple[str, str]],
+    payloads: List[tuple],
     jobs: int,
     observer: MetricsAggregator,
+    fn=None,
     pool: Optional[WorkerPool] = None,
     chunk_size: Optional[int] = None,
 ) -> List[dict]:
-    """Run the cache misses, in-process or across a crash-isolated pool.
+    """Run ``fn`` over ``payloads`` on the pool this call picks.
 
-    Each task gets its *own* config dict: per-task resource budgets
-    (``deadline``) are started from the task's own clock, never shared
-    or inherited from a sibling task's partially-spent budget — one
-    slow program must not shorten the next program's grant.
-
-    Every cell of one program shares one :class:`_Source`, so a chunk
-    pickles each of its programs' text once.  A caller-owned pool and
-    a run-owned one get the same payloads; the only difference is that
-    a run-owned pool is closed when the run ends.
+    The one pool lifecycle of :func:`run_pipeline` and the fuzz
+    driver: a caller-owned ``pool`` always runs the work; otherwise
+    one payload (or none), or ``jobs <= 1``, runs in-process; anything
+    else gets a :class:`WorkerPool` of ``jobs`` workers that is closed
+    when the call ends.  Returns one envelope per payload, in order;
+    ``fn`` defaults to :func:`_compute`.
     """
-    sources = {t.source: _Source(t.source) for t in pending}
-    payloads = [
-        (sources[t.source], t.kind, t.analysis, dict(config)) for t in pending
-    ]
-
+    if fn is None:
+        fn = _compute
     if pool is not None:
-        if not pending:
+        if not payloads:
             return []
-        return pool.run(pending, payloads, observer, chunk_size=chunk_size)
-    if jobs <= 1 or len(pending) <= 1:
-        return [_compute(payload) for payload in payloads]
+        return pool.run(labels, payloads, observer, fn=fn, chunk_size=chunk_size)
+    if jobs <= 1 or len(payloads) <= 1:
+        return [fn(payload) for payload in payloads]
     own = WorkerPool(jobs)
     try:
-        return own.run(pending, payloads, observer, chunk_size=chunk_size)
+        return own.run(labels, payloads, observer, fn=fn, chunk_size=chunk_size)
     finally:
         own.close()

@@ -1,8 +1,15 @@
 """The campaign driver: counters, metrics, scale-out, persistence."""
 
+import os
+
 import pytest
 
-from repro.fuzz.driver import FUZZ_CONFIG, FuzzResult, run_fuzz
+from repro.fuzz.driver import (
+    FUZZ_CONFIG,
+    FuzzResult,
+    generate_subject,
+    run_fuzz,
+)
 from repro.fuzz.oracles import ORACLES, OracleSpec
 from repro.lang.ast import Assign, iter_nodes
 from repro.observe.metrics import validate_metrics
@@ -111,10 +118,43 @@ def test_worker_crashes_become_error_records(monkeypatch):
     assert validate_metrics(result.metrics) == []
 
 
+def _die_on_seed_1(seed, profile):
+    """A ``generate_subject`` whose worker dies on seed 1.  Forked
+    workers inherit it; it must never run in the pytest process."""
+    if seed == 1:
+        os._exit(13)
+    return generate_subject(seed, profile)
+
+
+def test_a_seed_that_kills_its_worker_is_abandoned_alone(monkeypatch):
+    import repro.fuzz.driver as driver_mod
+
+    monkeypatch.setattr(driver_mod, "generate_subject", _die_on_seed_1)
+    result = run_fuzz(
+        seeds=3, jobs=2, oracles=("parse-pretty",), chunk_size=3
+    )
+    assert [(e["seed"], e["error_type"]) for e in result.errors] == [
+        (1, "WorkerCrash")
+    ]
+    assert result.programs == 4  # seeds 0 and 2, two profiles each
+    assert result.checks == 4
+    workers = result.metrics["workers"]
+    assert workers["abandoned"] == 1
+    assert workers["crashes"] == 3  # one per attempt at seed 1
+    assert validate_metrics(result.metrics) == []
+
+
+def test_a_single_seed_campaign_runs_in_process():
+    result = run_fuzz(seeds=1, jobs=2, oracles=("parse-pretty",))
+    assert result.errors == []
+    assert result.checks == 2
+    assert result.metrics["workers"]["pools"] == 0
+    assert result.metrics["chunks"]["submitted"] == 0
+
+
 def test_fuzz_config_binds_a_generated_variable_high():
     # The pipeline default high set never intersects generated
     # programs; the campaign config must, or policy oracles go vacuous.
-    from repro.fuzz.driver import generate_subject
     from repro.lang.ast import used_variables
 
     assert FUZZ_CONFIG["high"] == ("v0",)

@@ -273,21 +273,17 @@ def test_never_submitted_cells_are_not_charged_wall_clock():
     on its first real run, not one shortened by wall-clock it never
     spent."""
     from repro.observe import MetricsAggregator
-    from repro.pipeline.runner import _Task
 
     _SPY_DEADLINES.clear()
     pool = _MidLoopBreakPool()
     try:
-        pending = [
-            _Task(i, f"p{i}", f"src{i}", "statement", "cert")
-            for i in range(2)
-        ]
+        labels = [(f"p{i}", "cert") for i in range(2)]
         payloads = [
             (f"src{i}", "statement", "cert", {"deadline": 30.0})
             for i in range(2)
         ]
         envelopes = pool.run(
-            pending,
+            labels,
             payloads,
             MetricsAggregator(),
             fn=_deadline_spy,
