@@ -127,6 +127,17 @@ def check_atomicity(subject: Union[Program, Stmt]) -> AtomicityReport:
     """
     stmt = subject.body if isinstance(subject, Program) else subject
     shared = shared_variables(stmt)
+    return AtomicityReport(shared, atomicity_violations(stmt, shared))
+
+
+def atomicity_violations(
+    stmt: Stmt, shared: FrozenSet[str]
+) -> List[AtomicityViolation]:
+    """The actions of ``stmt`` that reference ``shared`` more than once.
+
+    The scan behind :func:`check_atomicity`, for a caller that already
+    holds ``shared_variables(stmt)``.
+    """
     violations: List[AtomicityViolation] = []
 
     def offending_names(expr: Expr) -> Tuple[str, ...]:
@@ -158,4 +169,4 @@ def check_atomicity(subject: Union[Program, Stmt]) -> AtomicityReport:
                 violations.append(
                     AtomicityViolation(node, count, offending_names(node.cond))
                 )
-    return AtomicityReport(shared, violations)
+    return violations

@@ -13,7 +13,8 @@ Two families:
 
 * **RPL202** — the section 2.0 at-most-one-shared-reference condition,
   reported through the existing :mod:`repro.analysis.atomicity`
-  checker but as spanned diagnostics.
+  checker (its violation scan, over the context's shared set) but as
+  spanned diagnostics.
 """
 
 from __future__ import annotations
@@ -125,11 +126,10 @@ class RacePass(LintPass):
         return out
 
     def _atomicity(self, ctx: LintContext) -> List[Diagnostic]:
-        from repro.analysis.atomicity import check_atomicity
+        from repro.analysis.atomicity import atomicity_violations
 
-        report = check_atomicity(ctx.stmt)
         out = []
-        for violation in report.violations:
+        for violation in atomicity_violations(ctx.stmt, ctx.shared):
             out.append(make(
                 "RPL202",
                 f"atomic action references shared variables "

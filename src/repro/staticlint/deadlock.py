@@ -190,15 +190,11 @@ def _cycles(facts: Dict[str, SemaphoreFacts]) -> List[Tuple[str, ...]]:
     return cycles
 
 
-def static_deadlock(
-    subject: Union[Program, Stmt],
-    initials: Optional[Dict[str, int]] = None,
-) -> StaticDeadlockReport:
+def static_deadlock(subject: Union[Program, Stmt]) -> StaticDeadlockReport:
     """Analyse ``subject`` without exploring interleavings.
 
-    ``initials`` overrides the semaphore initial values (defaults come
-    from the declarations; bare statements default every semaphore
-    to 0, matching the runtime).
+    Semaphore initial values come from the declarations; bare
+    statements default every semaphore to 0, matching the runtime.
     """
     program = subject if isinstance(subject, Program) else None
     stmt = subject.body if isinstance(subject, Program) else subject
@@ -212,8 +208,6 @@ def static_deadlock(
                 for name in d.names:
                     declared_initials[name] = d.initial
                     sems.add(name)
-    if initials:
-        declared_initials.update(initials)
 
     facts = {
         s: SemaphoreFacts(
@@ -290,9 +284,7 @@ class DeadlockPass(LintPass):
 
     def run(self, ctx: LintContext) -> List[Diagnostic]:
         """Run :func:`static_deadlock` against the context's program."""
-        initials = {s: ctx.initial(s) for s in ctx.semaphores}
         report = static_deadlock(
-            ctx.program if ctx.program is not None else ctx.stmt,
-            initials=initials,
+            ctx.program if ctx.program is not None else ctx.stmt
         )
         return report.diagnostics

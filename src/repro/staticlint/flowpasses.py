@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Set
 
-from repro.lang.ast import used_variables
 from repro.staticlint.cfg import CFG, CFGNode
 from repro.staticlint.dataflow import DataflowAnalysis, reachable, solve
 from repro.staticlint.diagnostics import Diagnostic, make
@@ -252,11 +251,10 @@ class UnusedPass(LintPass):
         """Compare the declarations against the body's used names."""
         if ctx.program is None:
             return []  # bare statements declare nothing
-        used = used_variables(ctx.program.body)
         out = []
         for decl in ctx.program.decls:
             for name in decl.names:
-                if name in used or name in ctx.program.synthetic:
+                if name in ctx.used or name in ctx.program.synthetic:
                     continue
                 if decl.kind == "semaphore":
                     out.append(make(

@@ -3,8 +3,8 @@
 A pass is a :class:`LintPass` subclass with a stable ``name``, the
 code family it owns, and a ``run(ctx)`` returning diagnostics.  All
 passes share one :class:`LintContext`, which lazily builds and caches
-the expensive artifacts (CFG, shared-variable sets) so that five
-passes cost roughly one traversal each, keeping ``repro lint``
+the expensive artifacts (CFG, used- and shared-variable sets) so that
+five passes cost roughly one traversal each, keeping ``repro lint``
 polynomial end to end — the whole point of its existence next to the
 exponential interleaving explorer.
 
@@ -56,6 +56,7 @@ class LintContext:
         self.binding = binding
         self._cfg: Optional[CFG] = None
         self._shared: Optional[FrozenSet[str]] = None
+        self._used: Optional[FrozenSet[str]] = None
         self._kinds: Optional[Dict[str, str]] = None
 
     @property
@@ -73,6 +74,13 @@ class LintContext:
 
             self._shared = shared_variables(self.stmt)
         return self._shared
+
+    @property
+    def used(self) -> FrozenSet[str]:
+        """Every variable the body statement mentions."""
+        if self._used is None:
+            self._used = used_variables(self.stmt)
+        return self._used
 
     @property
     def kinds(self) -> Dict[str, str]:
@@ -93,7 +101,7 @@ class LintContext:
                 for s in iter_statements(self.stmt)
                 if isinstance(s, (Wait, Signal))
             }
-            for name in used_variables(self.stmt):
+            for name in self.used:
                 kinds.setdefault(
                     name, "semaphore" if name in sem_ops else "integer"
                 )
