@@ -18,7 +18,6 @@ from typing import Dict, FrozenSet, List, Set, Tuple, Union
 
 from repro.core.constraints import (
     ConstraintGraph,
-    Edge,
     GraphNode,
     VarNode,
     build_constraint_graph,
@@ -28,17 +27,23 @@ from repro.lattice.base import Lattice
 
 
 class FlowGraph:
-    """Variable-level flows with provenance.
+    """Variable-level flows, with provenance computed on demand.
 
-    ``edges`` maps ``(source, sink)`` variable pairs to the Figure 2
-    rules that induced them.
+    ``edges`` is the set of direct ``(source, sink)`` variable pairs;
+    :meth:`why` names the Figure 2 rules behind one of them.
     """
 
-    def __init__(self, variables: FrozenSet[str], edges: Dict[Tuple[str, str], Set[str]]):
+    def __init__(
+        self,
+        variables: FrozenSet[str],
+        edges: Set[Tuple[str, str]],
+        constraints: ConstraintGraph,
+    ):
         self.variables = variables
         self.edges = edges
+        self._constraints = constraints
         self._succ: Dict[str, Set[str]] = {}
-        for (a, bvar), _rules in edges.items():
+        for a, bvar in edges:
             self._succ.setdefault(a, set()).add(bvar)
 
     def flows_to(self, source: str) -> FrozenSet[str]:
@@ -62,8 +67,35 @@ class FlowGraph:
         return sorted(self.edges)
 
     def why(self, source: str, sink: str) -> FrozenSet[str]:
-        """The Figure 2 rules that induce the direct edge, if any."""
-        return frozenset(self.edges.get((source, sink), ()))
+        """The Figure 2 rules that induce the direct edge, if any.
+
+        The union over *every* constraint-graph path from ``source``
+        to ``sink`` through auxiliary nodes only.  A worklist carries
+        the rules reaching each auxiliary node and re-queues a node
+        whenever that set grows; with six rule names, a node is
+        re-queued at most six times.
+        """
+        if source == sink:
+            return frozenset()
+        succ = self._constraints.succ
+        start = VarNode(source)
+        reaching: Dict[GraphNode, FrozenSet[str]] = {start: frozenset()}
+        work = [start]
+        rules: Set[str] = set()
+        while work:
+            node = work.pop()
+            for edge in succ.get(node, ()):
+                grown = reaching[node] | {edge.rule.split("-")[0]}
+                dst = edge.dst
+                if isinstance(dst, VarNode):
+                    if dst.name == sink:
+                        rules |= grown
+                    continue
+                known = reaching.get(dst)
+                if known is None or not grown <= known:
+                    reaching[dst] = grown if known is None else known | grown
+                    work.append(dst)
+        return frozenset(rules)
 
     def __repr__(self) -> str:
         return f"<FlowGraph {len(self.variables)} variables, {len(self.edges)} edges>"
@@ -75,27 +107,23 @@ def flow_graph(subject: Union[Program, Stmt], scheme: Lattice) -> FlowGraph:
     Auxiliary (flow/mod/prefix) nodes are eliminated by reachability:
     an edge ``a -> b`` between variables exists when the constraint
     graph connects ``sbind(a)`` to ``sbind(b)`` through auxiliary nodes
-    only.
+    only.  No rule provenance is collected here; :meth:`FlowGraph.why`
+    computes it for the edges a caller asks about.
     """
-    graph: ConstraintGraph = build_constraint_graph(subject, scheme)
-    succ: Dict[GraphNode, List[Edge]] = graph.succ
-    edges: Dict[Tuple[str, str], Set[str]] = {}
-    for start in list(graph.nodes()):
-        if not isinstance(start, VarNode):
-            continue
-        # BFS through auxiliary nodes, collecting rule provenance.
-        work: List[Tuple[GraphNode, FrozenSet[str]]] = [(start, frozenset())]
-        seen: Set[GraphNode] = {start}
+    graph = build_constraint_graph(subject, scheme)
+    succ = graph.succ
+    edges: Set[Tuple[str, str]] = set()
+    for name in graph.variables:
+        start = VarNode(name)
+        work: List[GraphNode] = [start]
+        seen: Set[GraphNode] = set()
         while work:
-            node, rules = work.pop()
-            for edge in succ.get(node, ()):
+            for edge in succ.get(work.pop(), ()):
                 dst = edge.dst
-                new_rules = rules | {edge.rule.split("-")[0]}
                 if isinstance(dst, VarNode):
-                    if dst.name != start.name:
-                        edges.setdefault((start.name, dst.name), set()).update(new_rules)
-                    continue
-                if dst not in seen:
+                    if dst.name != name:
+                        edges.add((name, dst.name))
+                elif dst not in seen:
                     seen.add(dst)
-                    work.append((dst, new_rules))
-    return FlowGraph(graph.variables, edges)
+                    work.append(dst)
+    return FlowGraph(graph.variables, edges, graph)

@@ -1,7 +1,11 @@
 """The variable flow relation."""
 
+import pytest
+
 from repro.analysis.flowgraph import flow_graph
-from repro.lang.parser import parse_statement
+from repro.core.constraints import VarNode, build_constraint_graph
+from repro.lang.parser import parse_program, parse_statement
+from repro.workloads.generators import random_program, sized_program
 from repro.workloads.paper import figure3_program
 
 
@@ -63,3 +67,52 @@ def test_flows_to_excludes_unreachable(scheme):
 def test_repr(scheme):
     g = flow_graph(parse_statement("y := x"), scheme)
     assert "FlowGraph" in repr(g)
+
+
+@pytest.mark.parametrize("source,rules", [
+    # the loop's termination reaches v0 through the if's mod hub,
+    # which the guard's alternation edge reaches first
+    (
+        "var v0, v2 : integer;\n"
+        "begin while v2 > 0 do v2 := 0; if v2 > 0 then v0 := 1 end",
+        {"alternation", "composition", "iteration"},
+    ),
+    (
+        "var v0, v1, v2 : integer;\n"
+        "begin while v2 > 0 do v2 := 0; if v1 > 0 then v0 := 1 end",
+        {"alternation", "composition", "iteration"},
+    ),
+])
+def test_why_keeps_the_termination_flow(scheme, source, rules):
+    g = flow_graph(parse_program(source), scheme)
+    assert g.why("v2", "v0") == rules
+
+
+def _all_path_rules(graph, source, sink):
+    """Brute force: the rules on every auxiliary path, one by one."""
+    out = set()
+
+    def walk(node, rules, on_path):
+        for edge in graph.succ.get(node, ()):
+            grown = rules | {edge.rule.split("-")[0]}
+            if isinstance(edge.dst, VarNode):
+                if edge.dst.name == sink:
+                    out.update(grown)
+            elif edge.dst not in on_path:
+                walk(edge.dst, grown, on_path | {edge.dst})
+
+    walk(VarNode(source), frozenset(), frozenset())
+    return frozenset(out)
+
+
+def test_why_is_the_union_over_every_auxiliary_path(scheme):
+    programs = [random_program(seed) for seed in range(200)]
+    programs += [sized_program(seed, 40) for seed in range(50)]
+    checked = 0
+    for program in programs:
+        g = flow_graph(program, scheme)
+        constraints = build_constraint_graph(program, scheme)
+        for a, b in g.direct_edges():
+            assert g.why(a, b) == _all_path_rules(constraints, a, b), (a, b)
+            checked += 1
+    assert checked > 1_000
