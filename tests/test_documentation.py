@@ -87,3 +87,27 @@ def test_examples_have_module_docstrings():
         text = script.read_text()
         assert text.lstrip().startswith('"""'), script.name
         assert "Run:" in text, f"{script.name} should say how to run it"
+
+
+def test_one_version_number():
+    """``repro.__version__`` keys the cache and is what ``repro
+    --version`` prints; the citation and the package metadata must
+    not drift from it.  Regexes, not ``tomllib``: Python 3.9 has none."""
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    cff = (root / "CITATION.cff").read_text(encoding="utf-8")
+    assert re.search(r"^version:\s*(\S+)\s*$", cff, re.M).group(1) == (
+        repro.__version__
+    )
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)^\[", pyproject, re.M | re.S)
+    assert re.search(r"^dynamic\s*=.*\"version\"", project.group(1), re.M)
+    assert not re.search(r"^version\s*=", project.group(1), re.M)
+    assert re.search(
+        r"^\[tool\.setuptools\.dynamic\]\n"
+        r"version\s*=\s*\{\s*attr\s*=\s*\"repro\.__version__\"\s*\}",
+        pyproject,
+        re.M,
+    )
