@@ -652,6 +652,7 @@ class WorkerPool:
         results: List[Optional[dict]] = [None] * len(payloads)
         attempts = [0] * len(payloads)
         first_submitted: List[Optional[float]] = [None] * len(payloads)
+        remaining = list(range(len(payloads)))
 
         def submit(executor, cells: List[int], now: float):
             batch = []
@@ -692,8 +693,8 @@ class WorkerPool:
                 for cells in chunks:
                     futures[submit(executor, cells, now)] = cells
             except (BrokenProcessPool, RuntimeError):
-                # the executor broke (perhaps under a concurrent run())
-                # before every chunk was submitted; collect what was
+                # the executor broke under a concurrent run() before
+                # we finished submitting; collect what we did submit
                 broken = True
             # A break fails every unfinished future at once, so waiting
             # for all of them also keeps each chunk that finished first.
@@ -715,17 +716,16 @@ class WorkerPool:
                 self._discard(executor)
                 observer.event("pool_broken")
 
-        remaining = list(range(len(payloads)))
         while remaining:
             now = time.monotonic()
             if any(attempts):
-                # Retry rounds run their singletons one at a time.  A
+                # Retry rounds run their chunks one at a time.  A
                 # suspect that kills its worker breaks the whole
                 # executor, failing every future in flight — submitted
                 # concurrently, one poison cell would charge innocent
                 # singletons an attempt per round and abandon them.
-                # One at a time, a crasher can only fail itself; the
-                # pool is rebuilt before the next singleton.
+                # Sequential dispatch means a crasher can only fail
+                # itself; the pool is rebuilt before the next chunk.
                 for i in remaining:
                     submit_and_collect([[i]], now)
             else:
@@ -736,28 +736,28 @@ class WorkerPool:
                     now,
                 )
             retry = []
-            for i in remaining:
-                if results[i] is not None:
+            for index in remaining:
+                if results[index] is not None:
                     continue
-                attempts[i] += 1
-                program, analysis = labels[i]
-                if attempts[i] >= MAX_TASK_ATTEMPTS:
-                    results[i] = _crash_record(
-                        attempts[i], f"{program}/{analysis}"
+                attempts[index] += 1
+                program, analysis = labels[index]
+                if attempts[index] >= MAX_TASK_ATTEMPTS:
+                    results[index] = _crash_record(
+                        attempts[index], f"{program}/{analysis}"
                     )
                     observer.event(
                         "task_abandoned",
                         program=program,
                         analysis=analysis,
-                        attempts=attempts[i],
+                        attempts=attempts[index],
                     )
                 else:
-                    retry.append(i)
+                    retry.append(index)
                     observer.event(
                         "task_retry",
                         program=program,
                         analysis=analysis,
-                        attempt=attempts[i],
+                        attempt=attempts[index],
                     )
             remaining = retry
         assert all(envelope is not None for envelope in results)
