@@ -127,7 +127,7 @@ def timed_run(jobs: int, cache_dir, out: str) -> None:
                 "programs": len(corpus),
                 "seconds": seconds,
                 "document": result.to_json(),
-                "computed": result.stats["computed"],
+                "computed": result.metrics["run"]["computed"],
                 "chunks": dict(result.metrics["chunks"]),
                 "errors": len(result.errors()),
             },

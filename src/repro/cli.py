@@ -554,11 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the deterministic result document as JSON",
     )
-    sub.add_argument(
-        "--stats",
-        action="store_true",
-        help="print run statistics (timing, cache hits) to stderr",
-    )
     _add_policy_flags(sub, high="h,h2")
     _add_budget_flags(sub, max_states_default=20_000)
     sub.add_argument(
@@ -958,20 +953,18 @@ def _cmd_batch(args) -> int:
                 else:
                     cells.append(f"{analysis}=done")
             print(f"{entry['name']}: {'  '.join(cells)}")
-        stats = result.stats
+        run = result.metrics["run"]
         print(
             f"{len(result.programs)} programs x {len(result.analyses)} "
-            f"analyses; {stats['computed']} computed, "
-            f"{stats['cache']['hits']} cached, "
-            f"{stats['elapsed_seconds']:.2f}s with {stats['jobs']} job(s)"
+            f"analyses; {run['computed']} computed, "
+            f"{result.metrics['cache']['hits']} cached, "
+            f"{run['elapsed_seconds']:.2f}s with {run['jobs']} job(s)"
         )
         degraded = result.degraded()
         if degraded:
             print(f"{len(degraded)} degraded (partial) result(s):")
             for name, analysis, limit in degraded:
                 print(f"  {name}/{analysis}: {limit} budget hit")
-    if args.stats:
-        print(json.dumps(result.stats, sort_keys=True), file=sys.stderr)
     errors = result.errors()
     for name, analysis, message in errors:
         print(f"error: {name}/{analysis}: {message}", file=sys.stderr)

@@ -11,7 +11,10 @@ behind ``repro batch --metrics out.json``:
     documents from a different layout generation;
 ``run``
     wall time, worker count, the per-analysis deadline, and the task
-    ledger (computed / cached / ok / errors / degraded);
+    ledger (computed / cached / ok / errors / degraded); ``computed``
+    counts the cells the run itself finished, so it leaves out cache
+    hits (a cached error record is an ``error`` item, not a computed
+    one) and cells abandoned as ``WorkerCrash``;
 ``workers``
     pool lifecycle counts: pools started, crashes observed, tasks
     retried after a crash, tasks abandoned after bounded retry;
@@ -26,8 +29,10 @@ behind ``repro batch --metrics out.json``:
     spans are not duplicated here — they live in ``items``;
 ``cache``
     the content-addressed cache counters (hits / misses / writes /
-    corrupt) plus ``skipped_degraded`` — degraded partial results are
-    deliberately never cached;
+    corrupt), counted here from each read's own outcome and each write
+    that landed as ``run_pipeline`` reports them (the caches keep no
+    counters), plus ``skipped_degraded`` — degraded partial results
+    are deliberately never cached;
 ``analyses``
     per-analysis totals: tasks, wall seconds (total and max), and for
     the explorer the summed states / transitions / POR-reduced states;
@@ -109,8 +114,17 @@ class MetricsAggregator(TraceEmitter):
         #: :attr:`items`); per-cell ``task`` spans go straight to the
         #: sink from :meth:`item` and are deliberately not kept here.
         self.spans: List[Dict[str, object]] = []
+        #: One count per cache read's own outcome (a corrupt entry is
+        #: also a miss) and per write that landed.
+        self.cache: Dict[str, int] = {
+            "hits": 0,
+            "misses": 0,
+            "writes": 0,
+            "corrupt": 0,
+        }
         self.skipped_degraded = 0
         self._by_status: Dict[str, int] = {s: 0 for s in ITEM_STATUSES}
+        self._abandoned = 0
         self._analyses: Dict[str, Dict[str, object]] = {}
         #: One aggregator may be shared by every thread of a resident
         #: service; counter read-modify-writes need the lock.
@@ -175,6 +189,8 @@ class MetricsAggregator(TraceEmitter):
             if self.max_items is not None and len(self.items) > self.max_items:
                 del self.items[: len(self.items) - self.max_items]
             self._by_status[status] += 1
+            if error_type == "WorkerCrash":
+                self._abandoned += 1
             agg = self._analyses.setdefault(
                 analysis,
                 {
@@ -203,6 +219,18 @@ class MetricsAggregator(TraceEmitter):
             status=status,
         )
 
+    def cache_read(self, hit: bool, corrupt: bool = False) -> None:
+        """Record one cache lookup's own outcome."""
+        with self._lock:
+            self.cache["hits" if hit else "misses"] += 1
+            if corrupt:
+                self.cache["corrupt"] += 1
+
+    def cache_write(self) -> None:
+        """Record one cache write that landed."""
+        with self._lock:
+            self.cache["writes"] += 1
+
     def cache_skip_degraded(self) -> None:
         """Note one degraded result deliberately kept out of the cache."""
         with self._lock:
@@ -214,7 +242,6 @@ class MetricsAggregator(TraceEmitter):
         elapsed_seconds: float,
         jobs: int,
         deadline: Optional[float],
-        cache: Optional[Dict[str, int]] = None,
         service: Optional[Dict[str, object]] = None,
         fuzz: Optional[Dict[str, object]] = None,
     ) -> Dict[str, object]:
@@ -238,10 +265,9 @@ class MetricsAggregator(TraceEmitter):
             workers = dict(self.workers)
             chunks = dict(self.chunks)
             spans = [dict(span) for span in self.spans]
-            skipped_degraded = self.skipped_degraded
+            cache = dict(self.cache, skipped_degraded=self.skipped_degraded)
+            abandoned = self._abandoned
         tasks = sum(by_status.values())
-        cache_section = dict(cache or {})
-        cache_section["skipped_degraded"] = skipped_degraded
         document: Dict[str, object] = {
             "schema": METRICS_SCHEMA,
             "run": {
@@ -249,7 +275,8 @@ class MetricsAggregator(TraceEmitter):
                 "jobs": jobs,
                 "deadline": deadline,
                 "tasks": tasks,
-                "computed": tasks - by_status["cached"],
+                # neither a cache hit nor an abandoned cell ran here
+                "computed": tasks - cache["hits"] - abandoned,
                 "cached": by_status["cached"],
                 "ok": by_status["ok"],
                 "degraded": by_status["degraded"],
@@ -258,7 +285,7 @@ class MetricsAggregator(TraceEmitter):
             "workers": workers,
             "chunks": chunks,
             "spans": spans,
-            "cache": cache_section,
+            "cache": cache,
             "analyses": analyses,
             "items": items,
         }

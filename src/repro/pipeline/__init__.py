@@ -26,20 +26,13 @@ from repro.pipeline.analyses import (
     check_config,
     scheme_names,
 )
-from repro.pipeline.cache import (
-    CacheStats,
-    MemoryLRU,
-    ResultCache,
-    TieredCache,
-    cache_key,
-)
+from repro.pipeline.cache import MemoryLRU, ResultCache, TieredCache, cache_key
 from repro.pipeline.runner import PipelineResult, WorkerPool, run_pipeline
 
 __all__ = [
     "ANALYSES",
     "DEFAULT_CONFIG",
     "AnalysisSpec",
-    "CacheStats",
     "MemoryLRU",
     "PipelineResult",
     "ResultCache",

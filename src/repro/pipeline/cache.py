@@ -30,7 +30,6 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 #: Bump when the on-disk entry format changes (part of every key).
@@ -90,37 +89,19 @@ def cache_key(
     return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss accounting for one pipeline run."""
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    #: Entries that existed but failed validation and were recomputed.
-    corrupt: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        """JSON shape of the counters."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "corrupt": self.corrupt,
-        }
-
-
 class ResultCache:
     """A content-addressed store of analysis results under ``root``.
 
     All methods degrade gracefully: an unreadable or corrupted entry is
     a miss, an unwritable directory turns ``put`` into a no-op.  The
-    pipeline must never fail because its cache did.
+    pipeline must never fail because its cache did.  The store keeps
+    no counters: each ``lookup`` and ``put`` returns its own outcome,
+    and ``run_pipeline`` reports it to the run's
+    :class:`repro.observe.MetricsAggregator`.
     """
 
     def __init__(self, root: str):
         self.root = root
-        self.stats = CacheStats()
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], f"{key}.json")
@@ -136,16 +117,12 @@ class ResultCache:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except FileNotFoundError:
-            self.stats.misses += 1
             return None, False
         except (OSError, ValueError):
             payload = None
         if not isinstance(payload, dict) or payload.get("key") != key \
                 or "result" not in payload:
-            self.stats.corrupt += 1
-            self.stats.misses += 1
             return None, True
-        self.stats.hits += 1
         return payload["result"], False
 
     def put(self, key: str, analysis: str, result: dict) -> bool:
@@ -173,7 +150,6 @@ class ResultCache:
                 handle.write(text)
             os.replace(tmp, path)
             tmp = None  # the write landed; nothing to clean up
-            self.stats.writes += 1
             return True
         except (OSError, TypeError, ValueError):
             return False
@@ -257,52 +233,41 @@ class TieredCache:
     """A :class:`MemoryLRU` in front of an (optional) on-disk store.
 
     Drop-in for :class:`ResultCache` where ``run_pipeline`` is
-    concerned (``get``/``put``/``stats``): reads try memory first and
-    promote disk hits; writes land in both tiers.  The ``stats``
-    object is the *combined* hit/miss accounting (a memory hit is
-    still a cache hit), so pipeline counters keep meaning what they
-    always meant; per-tier counters live in :meth:`lru_stats`.
+    concerned (``lookup``/``put``): reads try memory first and promote
+    disk hits; writes land in both tiers.  Like the disk store it keeps
+    no combined counters (a memory hit is still a cache hit, which the
+    run's metrics count); the memory tier's own counters live in
+    :meth:`lru_stats`.
     """
 
     def __init__(self, disk: Optional[ResultCache], lru: Optional[MemoryLRU] = None):
         self.disk = disk
         self.lru = lru if lru is not None else MemoryLRU()
-        self.stats = CacheStats()
-        self._lock = threading.Lock()
 
-    @property
-    def root(self) -> Optional[str]:
-        """The disk tier's root directory (``None`` when memory-only)."""
-        return self.disk.root if self.disk is not None else None
+    def lookup(self, key: str) -> Tuple[Optional[dict], bool]:
+        """Memory first, then disk (promoting the entry on a disk hit).
 
-    def get(self, key: str) -> Optional[dict]:
-        """Memory first, then disk (promoting the entry on a disk hit)."""
+        Returns the result (``None`` on a miss) and whether *this* read
+        found a corrupt disk entry.
+        """
         found = self.lru.get(key)
-        if found is None and self.disk is not None:
-            # this read's own outcome: a shared store's counters move
-            # for every reader
-            found, corrupt = self.disk.lookup(key)
-            if corrupt:
-                self._count("corrupt")
-            if found is not None:
-                self.lru.put(key, found)
-        self._count("misses" if found is None else "hits")
-        return found
+        if found is not None or self.disk is None:
+            return found, False
+        found, corrupt = self.disk.lookup(key)
+        if found is not None:
+            self.lru.put(key, found)
+        return found, corrupt
 
-    def put(self, key: str, analysis: str, result: dict) -> None:
-        """Store ``result`` in both tiers; count only a write that landed."""
+    def put(self, key: str, analysis: str, result: dict) -> bool:
+        """Store ``result`` in both tiers; True if a write landed.
+
+        With a disk tier only a durable write counts; memory-only, the
+        memory write is the write (none when the tier is disabled).
+        """
         self.lru.put(key, result)
         if self.disk is not None:
-            landed = self.disk.put(key, analysis, result)
-        else:
-            landed = self.lru.capacity > 0
-        if landed:
-            self._count("writes")
-
-    def _count(self, counter: str) -> None:
-        # request threads share one TieredCache; += alone can lose updates
-        with self._lock:
-            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            return self.disk.put(key, analysis, result)
+        return self.lru.capacity > 0
 
     def lru_stats(self) -> Dict[str, int]:
         """The memory tier's own counters (see :class:`MemoryLRU`)."""

@@ -38,19 +38,22 @@ degraded results are reported but never cached.
 
 Observability: the run narrates itself through a
 :class:`repro.observe.MetricsAggregator` — per-task spans, pool
-lifecycle events, cache counters — which both feeds an optional
-JSON-lines trace sink and renders the metrics document available as
-:attr:`PipelineResult.metrics` (and ``repro batch --metrics``).
+lifecycle events, each cache read's own outcome and each write that
+landed — which both feeds an optional JSON-lines trace sink and
+renders the metrics document available as
+:attr:`PipelineResult.metrics` (and ``repro batch --metrics``).  The
+aggregator is the only thing that counts: the caches and the worker
+pool keep no counters of their own.
 
 Determinism contract: :meth:`PipelineResult.to_json` is byte-identical
 across ``jobs=1``, ``jobs=N`` and warm-cache runs of the same corpus
 and configuration.  Volatile facts (timings, hit/miss counts, worker
-count, metrics) live in :attr:`PipelineResult.stats` and
-:attr:`PipelineResult.metrics`, which are deliberately *not* part of
-the document.  Runs with a ``deadline`` are the one exception: where
-the clock truncates an analysis is inherently timing-dependent, so
-degraded cells may differ between runs (they are flagged, auditable,
-and excluded from the cache for exactly that reason).
+count) live in :attr:`PipelineResult.metrics`, which is deliberately
+*not* part of the document.  Runs with a ``deadline`` are the one
+exception: where the clock truncates an analysis is inherently
+timing-dependent, so degraded cells may differ between runs (they are
+flagged, auditable, and excluded from the cache for exactly that
+reason).
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from repro.lang.parser import parse_program, parse_statement
 from repro.lang.pretty import pretty
 from repro.observe import MetricsAggregator, TraceEmitter
 from repro.pipeline.analyses import ANALYSES, DEFAULT_CONFIG, check_config
-from repro.pipeline.cache import CacheStats, ResultCache, cache_key
+from repro.pipeline.cache import ResultCache, cache_key
 
 Subject = Union[Program, Stmt]
 
@@ -178,10 +181,9 @@ class PipelineResult:
 
     ``programs`` is a sorted list of
     ``{"name", "source", "analyses": {analysis: result}}`` entries;
-    ``stats`` holds the volatile run facts (wall time, cache counters,
-    worker count) and ``metrics`` the full observability document
-    (schema in :mod:`repro.observe.metrics`) — both are excluded from
-    :meth:`to_dict`.
+    ``metrics`` is the run record: the volatile facts (wall time, cache
+    counters, worker count) in the observability document (schema in
+    :mod:`repro.observe.metrics`), excluded from :meth:`to_dict`.
     """
 
     def __init__(
@@ -189,14 +191,12 @@ class PipelineResult:
         programs: List[dict],
         analyses: Tuple[str, ...],
         config: Dict[str, object],
-        stats: Dict[str, object],
-        metrics: Optional[Dict[str, object]] = None,
+        metrics: Dict[str, object],
     ):
         self.programs = programs
         self.analyses = analyses
         self.config = dict(config)
-        self.stats = dict(stats)
-        self.metrics = dict(metrics or {})
+        self.metrics = dict(metrics)
 
     def to_dict(self) -> dict:
         """The deterministic result document (no timings, no counters).
@@ -330,11 +330,13 @@ def run_pipeline(
     The three resident-service hooks (``repro serve`` uses all of
     them): ``pool`` is a caller-owned :class:`WorkerPool` reused
     across calls instead of a per-call executor; ``cache`` is a
-    caller-owned cache object (``get``/``put``/``stats``, e.g. a
+    caller-owned cache object (``lookup``/``put``, e.g. a
     :class:`repro.pipeline.cache.TieredCache`) that overrides
     ``cache_dir``/``use_cache``; ``observer`` is a caller-owned
     :class:`repro.observe.MetricsAggregator` that accumulates across
-    calls (when given, ``trace`` should be wired as its sink).
+    calls (when given, ``trace`` should be wired as its sink).  The
+    observer counts the cache's outcomes, so a shared cache used
+    without a shared observer reports each run's own counts.
 
     ``chunk_size`` sets how many (program, analysis) cells ride one
     submitted worker task (CLI: ``--chunk-size``).  ``None`` auto-sizes
@@ -391,7 +393,8 @@ def run_pipeline(
                     repro.__version__,
                 )
                 keys[cell] = key
-                hit = cache.get(key)
+                hit, corrupt = cache.lookup(key)
+                observer.cache_read(hit is not None, corrupt)
                 if hit is not None:
                     results[cell] = hit
                     cached_cells.add(cell)
@@ -418,8 +421,8 @@ def run_pipeline(
                 observer.cache_skip_degraded()
             elif result.get("error_type") == "WorkerCrash":
                 pass  # environment trouble, not a property of the program
-            else:
-                cache.put(keys[cell], cell[1], result)
+            elif cache.put(keys[cell], cell[1], result):
+                observer.cache_write()
 
     for index, (name, source, kind) in enumerate(entries):
         for analysis in analyses:
@@ -448,34 +451,13 @@ def run_pipeline(
         for index, (name, source, kind) in enumerate(entries)
     ]
     elapsed = time.perf_counter() - started
-    cache_counters = (cache.stats if cache is not None else CacheStats()).to_dict()
     # The run span must land before the document is assembled, or
     # ``PipelineResult.metrics`` would never contain it.
     observer.span("run", elapsed, jobs=jobs, tasks=len(entries) * len(analyses))
     metrics = observer.to_dict(
-        elapsed_seconds=elapsed,
-        jobs=jobs,
-        deadline=merged.get("deadline"),
-        cache=cache_counters,
+        elapsed_seconds=elapsed, jobs=jobs, deadline=merged.get("deadline")
     )
-    stats = {
-        "jobs": jobs,
-        "tasks": len(entries) * len(analyses),
-        # Abandoned WorkerCrash cells never ran to completion anywhere;
-        # counting them as computed would overstate what the run did.
-        "computed": sum(
-            1
-            for envelope in computed
-            if envelope["result"].get("error_type") != "WorkerCrash"
-        ),
-        "elapsed_seconds": elapsed,
-        "cache": cache_counters,
-        "cache_dir": getattr(cache, "root", cache_dir) if cache is not None else None,
-        "workers": dict(observer.workers),
-    }
-    return PipelineResult(
-        programs, tuple(sorted(analyses)), merged, stats, metrics=metrics
-    )
+    return PipelineResult(programs, tuple(sorted(analyses)), merged, metrics)
 
 
 def _pool_context():
@@ -542,18 +524,16 @@ class WorkerPool:
     its ``(program, analysis)`` label.
 
     Thread-safe: concurrent ``run`` calls (service requests) share the
-    executor; only creation/teardown is serialized.  ``submitted``
-    counts every task ever handed to the executor — the observability
-    hook behind the service's "an LRU hit never touches the pool"
-    guarantee.
+    executor; only creation/teardown is serialized.  The pool keeps no
+    counters: each executor it starts is a ``pool_start`` event, and
+    each chunk it submits a :meth:`MetricsAggregator.chunk` call, on
+    the caller's observer.
     """
 
     def __init__(self, jobs: int):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.submitted = 0
-        self.pools_started = 0
         self._ctx = _pool_context()
         self._lock = threading.RLock()
         self._executor = None
@@ -570,7 +550,6 @@ class WorkerPool:
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.jobs, mp_context=self._ctx
                 )
-                self.pools_started += 1
                 observer.event("pool_start", workers=self.jobs)
             return self._executor
 
@@ -674,7 +653,6 @@ class WorkerPool:
             for i in cells:
                 if first_submitted[i] is None:
                     first_submitted[i] = now
-            self.submitted += 1
             try:
                 nbytes = len(pickle.dumps((fn, batch)))
             except Exception:

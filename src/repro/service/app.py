@@ -491,7 +491,11 @@ class AnalysisService:
             self.body_bytes_read += count
 
     def service_counters(self) -> Dict[str, object]:
-        """The ``service`` section of the metrics document."""
+        """The ``service`` section of the metrics document.
+
+        All but ``pool``, which :meth:`metrics_document` adds from the
+        run ledger.
+        """
         lru = self.cache.lru_stats() if self.cache is not None else None
         with self._lock:
             counters: Dict[str, object] = {
@@ -516,28 +520,28 @@ class AnalysisService:
             }
         if lru is not None:
             counters["lru"] = lru
-        if self.pool is not None:
-            counters["pool"] = {
-                "jobs": self.pool.jobs,
-                "submitted": self.pool.submitted,
-                "pools_started": self.pool.pools_started,
-            }
         return counters
 
     def metrics_document(self) -> Dict[str, object]:
-        """The cumulative ``repro-metrics/1`` document for ``/metrics``."""
-        cache = (
-            self.cache.stats.to_dict()
-            if self.cache is not None
-            else {"hits": 0, "misses": 0, "writes": 0, "corrupt": 0}
-        )
-        return self.observer.to_dict(
+        """The cumulative ``repro-metrics/1`` document for ``/metrics``.
+
+        ``service.pool`` restates the pool's share of the run ledger
+        from the same snapshot: every chunk submitted and every
+        executor started ran on this service's one observer.
+        """
+        document = self.observer.to_dict(
             elapsed_seconds=self.uptime_seconds(),
             jobs=self.jobs,
             deadline=self.default_deadline,
-            cache=cache,
             service=self.service_counters(),
         )
+        if self.pool is not None:
+            document["service"]["pool"] = {
+                "jobs": self.pool.jobs,
+                "submitted": document["chunks"]["submitted"],
+                "pools_started": document["workers"]["pools"],
+            }
+        return document
 
     def health_document(self) -> Tuple[int, Dict[str, object]]:
         """The ``/healthz`` payload: 200 while serving, 503 draining.

@@ -97,5 +97,5 @@ def test_fastpath_flag_does_not_change_cache_keys(tmp_path):
         cache_dir=cache_dir,
         config={"fastpath": False},
     )
-    assert second.stats["computed"] == 0
+    assert second.metrics["run"]["computed"] == 0
     assert first.to_json() == second.to_json()

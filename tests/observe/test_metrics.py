@@ -16,12 +16,20 @@ def sample_aggregator():
     agg.event("pool_broken")
     agg.event("task_retry", program="p", analysis="cert", attempt=1)
     agg.event("task_abandoned", program="p", analysis="cert", attempts=3)
+    # b/cert is a cache hit; the other three cells miss, and every
+    # fresh result but the degraded one is written back
+    agg.cache_read(hit=False)
+    agg.cache_read(hit=False)
+    agg.cache_read(hit=True)
+    agg.cache_read(hit=False)
     agg.item("a", "cert", "ok", seconds=0.25)
+    agg.cache_write()
     agg.item("a", "explore", "degraded", seconds=0.5, limit="deadline",
              explore={"states": 100, "transitions": 99, "reduced_states": 4})
+    agg.cache_skip_degraded()
     agg.item("b", "cert", "cached", seconds=None)
     agg.item("b", "explore", "error", seconds=0.1, error_type="ZeroDivisionError")
-    agg.cache_skip_degraded()
+    agg.cache_write()
     return agg
 
 
@@ -49,8 +57,7 @@ def test_unknown_item_status_is_rejected():
 
 def test_document_shape_and_totals():
     doc = sample_aggregator().to_dict(
-        elapsed_seconds=1.5, jobs=2, deadline=0.5,
-        cache={"hits": 1, "misses": 3, "writes": 2, "corrupt": 0},
+        elapsed_seconds=1.5, jobs=2, deadline=0.5
     )
     assert doc["schema"] == METRICS_SCHEMA
     run = doc["run"]
@@ -59,7 +66,10 @@ def test_document_shape_and_totals():
     assert run["degraded"] == 1 and run["errors"] == 1
     assert run["computed"] == 3
     assert run["deadline"] == 0.5
-    assert doc["cache"]["skipped_degraded"] == 1
+    assert doc["cache"] == {
+        "hits": 1, "misses": 3, "writes": 2, "corrupt": 0,
+        "skipped_degraded": 1,
+    }
     explore = doc["analyses"]["explore"]
     assert explore["tasks"] == 2
     assert explore["degraded"] == 1 and explore["errors"] == 1
@@ -73,10 +83,38 @@ def test_document_shape_and_totals():
 
 def test_document_validates_clean():
     doc = sample_aggregator().to_dict(
-        elapsed_seconds=1.0, jobs=1, deadline=None,
-        cache={"hits": 0, "misses": 0, "writes": 0, "corrupt": 0},
+        elapsed_seconds=1.0, jobs=1, deadline=None
     )
     assert validate_metrics(doc) == []
+
+
+def test_cache_counters_start_at_zero_in_every_document():
+    doc = MetricsAggregator().to_dict(
+        elapsed_seconds=0.0, jobs=1, deadline=None
+    )
+    assert doc["cache"] == {
+        "hits": 0, "misses": 0, "writes": 0, "corrupt": 0,
+        "skipped_degraded": 0,
+    }
+
+
+def test_a_corrupt_read_is_a_miss_and_a_corruption():
+    agg = MetricsAggregator()
+    agg.cache_read(hit=False, corrupt=True)
+    agg.cache_read(hit=True)
+    assert agg.cache == {"hits": 1, "misses": 1, "writes": 0, "corrupt": 1}
+
+
+def test_computed_leaves_out_cache_hits_and_abandoned_cells():
+    agg = MetricsAggregator()
+    agg.item("a", "cert", "ok", seconds=0.1)
+    # an error record served from the cache is an error item, not a
+    # computed one
+    agg.cache_read(hit=True)
+    agg.item("b", "cert", "error", error_type="ValueError")
+    agg.item("c", "cert", "error", error_type="WorkerCrash")
+    run = agg.to_dict(elapsed_seconds=1.0, jobs=2, deadline=None)["run"]
+    assert (run["tasks"], run["errors"], run["computed"]) == (3, 2, 1)
 
 
 def test_validator_catches_structural_damage():

@@ -6,6 +6,7 @@ import os
 import pytest
 
 import repro
+from repro.observe import MetricsAggregator
 from repro.pipeline import ResultCache, cache_key, run_pipeline
 from repro.pipeline.analyses import ANALYSES, DEFAULT_CONFIG
 from repro.workloads.litmus import CASES
@@ -15,17 +16,23 @@ def small_corpus(n=4):
     return [(case.name, case.statement()) for case in CASES[:n]]
 
 
+def _cache_counts(result):
+    """The four cache counters of one run's metrics document."""
+    cache = result.metrics["cache"]
+    return {key: cache[key] for key in ("hits", "misses", "writes", "corrupt")}
+
+
 def test_cold_run_misses_then_warm_run_hits(tmp_path):
     cache_dir = str(tmp_path / "cache")
     cold = run_pipeline(small_corpus(), analyses=("cert",), cache_dir=cache_dir)
-    assert cold.stats["cache"] == {
+    assert _cache_counts(cold) == {
         "hits": 0, "misses": 4, "writes": 4, "corrupt": 0,
     }
     warm = run_pipeline(small_corpus(), analyses=("cert",), cache_dir=cache_dir)
-    assert warm.stats["cache"] == {
+    assert _cache_counts(warm) == {
         "hits": 4, "misses": 0, "writes": 0, "corrupt": 0,
     }
-    assert warm.stats["computed"] == 0
+    assert warm.metrics["run"]["computed"] == 0
     assert cold.to_json() == warm.to_json()
 
 
@@ -33,8 +40,8 @@ def test_partial_overlap_accounts_hits_and_misses(tmp_path):
     cache_dir = str(tmp_path / "cache")
     run_pipeline(small_corpus(2), analyses=("cert",), cache_dir=cache_dir)
     mixed = run_pipeline(small_corpus(4), analyses=("cert",), cache_dir=cache_dir)
-    assert mixed.stats["cache"]["hits"] == 2
-    assert mixed.stats["cache"]["misses"] == 2
+    assert mixed.metrics["cache"]["hits"] == 2
+    assert mixed.metrics["cache"]["misses"] == 2
 
 
 def test_use_cache_false_never_touches_disk(tmp_path):
@@ -42,17 +49,18 @@ def test_use_cache_false_never_touches_disk(tmp_path):
     result = run_pipeline(
         small_corpus(), analyses=("cert",), cache_dir=cache_dir, use_cache=False
     )
-    assert result.stats["cache"] == {
+    assert _cache_counts(result) == {
         "hits": 0, "misses": 0, "writes": 0, "corrupt": 0,
     }
     assert not os.path.exists(cache_dir)
 
 
-def _keys_for(config_overrides, version=None):
-    """Cache keys for one litmus program under a config variation."""
+def _keys_for(config_overrides, version=None, subject=None):
+    """Cache keys for one litmus program (default: the first) under a
+    config variation."""
     from repro.lang.pretty import pretty
 
-    source = pretty(CASES[0].statement())
+    source = pretty(subject if subject is not None else CASES[0].statement())
     config = dict(DEFAULT_CONFIG)
     config.update(config_overrides)
     config["high"] = tuple(sorted(config["high"]))
@@ -131,9 +139,9 @@ def test_pre_fastpath_entries_miss_cleanly(tmp_path):
         )
         cache.put(key, "cert", {"certified": False, "checks": 0, "violations": []})
     migrated = run_pipeline(small_corpus(), analyses=("cert",), cache_dir=cache_dir)
-    assert migrated.stats["cache"]["hits"] == 0
-    assert migrated.stats["cache"]["misses"] == 4
-    assert migrated.stats["computed"] == 4
+    assert migrated.metrics["cache"]["hits"] == 0
+    assert migrated.metrics["cache"]["misses"] == 4
+    assert migrated.metrics["run"]["computed"] == 4
     # the stale planted answers never leak into the document
     assert all(
         entry["analyses"]["cert"]["checks"] > 0 or entry["analyses"]["cert"]["certified"]
@@ -172,33 +180,30 @@ def test_corrupted_cache_entry_recomputes_not_crashes(tmp_path, damage):
     else:  # empty
         open(victim, "w").close()
     again = run_pipeline(small_corpus(), analyses=("cert",), cache_dir=cache_dir)
-    assert again.stats["cache"]["corrupt"] == 1
-    assert again.stats["cache"]["hits"] == 3
-    assert again.stats["cache"]["misses"] == 1
+    assert again.metrics["cache"]["corrupt"] == 1
+    assert again.metrics["cache"]["hits"] == 3
+    assert again.metrics["cache"]["misses"] == 1
     # the damaged entry was recomputed and the document is unharmed
     assert again.to_json() == first.to_json()
     # and the entry was healed on disk
     healed = run_pipeline(small_corpus(), analyses=("cert",), cache_dir=cache_dir)
-    assert healed.stats["cache"]["hits"] == 4
+    assert healed.metrics["cache"]["hits"] == 4
 
 
 def test_cache_get_put_roundtrip(tmp_path):
     cache = ResultCache(str(tmp_path / "c"))
     key = "ab" + "0" * 62
     assert cache.get(key) is None
-    cache.put(key, "cert", {"certified": True})
+    assert cache.put(key, "cert", {"certified": True}) is True
     assert cache.get(key) == {"certified": True}
-    assert cache.stats.to_dict() == {
-        "hits": 1, "misses": 1, "writes": 1, "corrupt": 0,
-    }
 
 
 def test_unwritable_cache_root_is_a_no_op(tmp_path):
     blocker = tmp_path / "flat"
     blocker.write_text("a file where the cache root should be")
     cache = ResultCache(str(blocker / "sub"))
-    cache.put("ab" + "0" * 62, "cert", {"certified": True})  # must not raise
-    assert cache.stats.writes == 0
+    # must not raise, and must not claim the write
+    assert cache.put("ab" + "0" * 62, "cert", {"certified": True}) is False
 
 
 # -- write-path hygiene (regression: a failed write stranded *.tmp files) ----
@@ -220,17 +225,17 @@ def test_failed_replace_leaves_no_tmp_litter(tmp_path, monkeypatch):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr("repro.pipeline.cache.os.replace", refuse)
-    cache.put("ab" + "0" * 62, "cert", {"certified": True})  # must not raise
+    # must not raise, and must not claim the write
+    assert cache.put("ab" + "0" * 62, "cert", {"certified": True}) is False
     assert _tmp_litter(tmp_path) == []
-    assert cache.stats.writes == 0
     assert cache.get("ab" + "0" * 62) is None  # nothing half-written
 
 
 def test_unserializable_result_leaves_no_tmp_litter(tmp_path):
     cache = ResultCache(str(tmp_path / "c"))
-    cache.put("ab" + "0" * 62, "cert", {"bad": object()})  # must not raise
+    # must not raise, and must not claim the write
+    assert cache.put("ab" + "0" * 62, "cert", {"bad": object()}) is False
     assert _tmp_litter(tmp_path) == []
-    assert cache.stats.writes == 0
     assert cache.get("ab" + "0" * 62) is None
 
 
@@ -320,33 +325,40 @@ def test_tiered_cache_promotes_disk_hits_into_memory(tmp_path):
 
     key = "ab" + "0" * 62
     first = TieredCache(ResultCache(str(tmp_path / "c")), MemoryLRU(8))
-    first.put(key, "cert", {"certified": True})
+    assert first.put(key, "cert", {"certified": True}) is True
     # a new tier over the same disk store: memory is cold, disk is warm
     second = TieredCache(ResultCache(str(tmp_path / "c")), MemoryLRU(8))
-    assert second.get(key) == {"certified": True}  # served from disk
+    assert second.lookup(key) == ({"certified": True}, False)  # from disk
     assert second.lru.hits == 0
-    assert second.get(key) == {"certified": True}  # now from memory
+    assert second.lookup(key) == ({"certified": True}, False)  # from memory
     assert second.lru.hits == 1
-    assert second.stats.hits == 2  # combined accounting: both were hits
 
 
 def test_tiered_cache_is_a_dropin_for_run_pipeline(tmp_path):
     from repro.pipeline import MemoryLRU, TieredCache
 
     tier = TieredCache(ResultCache(str(tmp_path / "cache")), MemoryLRU(64))
-    cold = run_pipeline(small_corpus(), analyses=("cert",), cache=tier)
-    warm = run_pipeline(small_corpus(), analyses=("cert",), cache=tier)
+    observer = MetricsAggregator()
+    cold = run_pipeline(
+        small_corpus(), analyses=("cert",), cache=tier, observer=observer
+    )
+    warm = run_pipeline(
+        small_corpus(), analyses=("cert",), cache=tier, observer=observer
+    )
     assert cold.to_json() == warm.to_json()
-    # a caller-owned cache accumulates across runs (service semantics):
+    # a shared observer accumulates across runs (service semantics):
     # 4 cold misses+writes, then 4 warm hits
-    assert warm.stats["cache"] == {
+    assert _cache_counts(warm) == {
         "hits": 4, "misses": 4, "writes": 4, "corrupt": 0,
     }
     assert tier.lru.hits == 4  # the warm run never went to disk
-    assert warm.stats["cache_dir"] == str(tmp_path / "cache")
 
 
-# -- combined-counter accounting regressions (tiered cache) -------------------
+# -- cache-counter accounting regressions, at the counting point -------------
+#
+# ``run_pipeline`` reports each lookup's own outcome and each write that
+# landed to its observer; the caches count nothing.  These bugs came from
+# reading counters off a cache that several readers shared.
 
 
 def _garble(cache, key):
@@ -359,29 +371,46 @@ def _garble(cache, key):
         handle.write("{not json")
 
 
+def _cert_key(entry):
+    """The cache key ``run_pipeline`` gives a corpus entry's cert cell."""
+    return _keys_for({}, subject=entry[1])["cert"]
+
+
+def _certify(entry, cache, observer=None):
+    """One ``run_pipeline`` over a single-program corpus."""
+    return run_pipeline(
+        [entry], analyses=("cert",), cache=cache, observer=observer
+    )
+
+
 def test_tiered_corrupt_counter_tracks_deltas_not_snapshots(tmp_path):
     """Regression: mirroring the disk tier's cumulative counter by
-    assignment (miss path only) went stale after any hit; the combined
-    counter must advance exactly when new corruption is observed and
+    assignment (miss path only) went stale after any hit; the shared
+    count must advance exactly when new corruption is observed and
     then stay put."""
     from repro.pipeline import MemoryLRU, TieredCache
 
     disk = ResultCache(str(tmp_path / "c"))
     tier = TieredCache(disk, MemoryLRU(8))
-    bad = "ab" + "0" * 62
-    good = "cd" + "0" * 62
+    observer = MetricsAggregator()
+    bad, good = small_corpus(2)
 
-    _garble(disk, bad)
-    assert tier.get(bad) is None
-    assert tier.stats.corrupt == 1
-    # the corrupt read healed nothing; the next get re-reads the same
-    # garbage and counts again — still a delta, never a re-snapshot
-    assert tier.get(bad) is None
-    assert tier.stats.corrupt == 2
+    def corrupt_after(entry):
+        _certify(entry, tier, observer)
+        return observer.cache["corrupt"]
 
-    tier.put(good, "cert", {"certified": True})
-    assert tier.get(good) == {"certified": True}  # memory hit
-    assert tier.stats.corrupt == 2  # a hit must not disturb the counter
+    _garble(disk, _cert_key(bad))
+    assert corrupt_after(bad) == 1
+    # the run healed the entry; garble it again behind the memory
+    # tier's back, and the next read counts again — a delta, never a
+    # re-snapshot
+    _garble(disk, _cert_key(bad))
+    tier.lru.clear()
+    assert corrupt_after(bad) == 2
+
+    assert corrupt_after(good) == 2  # a clean miss
+    assert corrupt_after(good) == 2  # a hit must not disturb the counter
+    assert observer.cache["hits"] == 1
 
 
 def test_two_tiers_sharing_one_disk_count_their_own_corruption(tmp_path):
@@ -393,15 +422,12 @@ def test_two_tiers_sharing_one_disk_count_their_own_corruption(tmp_path):
     disk = ResultCache(str(tmp_path / "c"))
     first = TieredCache(disk, MemoryLRU(8))
     second = TieredCache(disk, MemoryLRU(8))
-    bad = "ab" + "0" * 62
-    clean = "cd" + "0" * 62
+    bad, clean = small_corpus(2)
 
-    _garble(disk, bad)
-    assert first.get(bad) is None
-    assert first.stats.corrupt == 1
+    _garble(disk, _cert_key(bad))
+    assert _certify(bad, first).metrics["cache"]["corrupt"] == 1
     # second tier misses a *clean* key: no corruption of its own
-    assert second.get(clean) is None
-    assert second.stats.corrupt == 0
+    assert _certify(clean, second).metrics["cache"]["corrupt"] == 0
 
 
 def test_tiered_put_does_not_count_a_swallowed_disk_write(tmp_path):
@@ -412,11 +438,12 @@ def test_tiered_put_does_not_count_a_swallowed_disk_write(tmp_path):
     blocker = tmp_path / "flat"
     blocker.write_text("a file where the cache root should be")
     tier = TieredCache(ResultCache(str(blocker / "sub")), MemoryLRU(8))
-    key = "ab" + "0" * 62
-    tier.put(key, "cert", {"certified": True})  # disk write swallowed
-    assert tier.stats.writes == 0  # nothing durable landed
-    assert tier.get(key) == {"certified": True}  # memory still serves
-    assert tier.stats.hits == 1
+    observer = MetricsAggregator()
+    (entry,) = small_corpus(1)
+    _certify(entry, tier, observer)  # disk write swallowed
+    _certify(entry, tier, observer)  # memory still serves
+    assert observer.cache["writes"] == 0  # nothing durable landed
+    assert (observer.cache["hits"], observer.cache["misses"]) == (1, 1)
 
 
 def test_memory_only_tier_still_counts_writes(tmp_path):
@@ -424,12 +451,11 @@ def test_memory_only_tier_still_counts_writes(tmp_path):
     both tiers (capacity 0) writes nowhere and counts nothing."""
     from repro.pipeline import MemoryLRU, TieredCache
 
+    (entry,) = small_corpus(1)
     tier = TieredCache(None, MemoryLRU(8))
-    tier.put("ab" + "0" * 62, "cert", {"certified": True})
-    assert tier.stats.writes == 1
+    assert _certify(entry, tier).metrics["cache"]["writes"] == 1
     disabled = TieredCache(None, MemoryLRU(0))
-    disabled.put("cd" + "0" * 62, "cert", {"certified": True})
-    assert disabled.stats.writes == 0
+    assert _certify(entry, disabled).metrics["cache"]["writes"] == 0
 
 
 class _GatedDisk(ResultCache):
@@ -448,10 +474,10 @@ class _GatedDisk(ResultCache):
         return super().put(key, analysis, result)
 
 
-def _in_two_threads(call, keys):
+def _in_two_threads(call, entries):
     import threading
 
-    threads = [threading.Thread(target=call, args=(key,)) for key in keys]
+    threads = [threading.Thread(target=call, args=(entry,)) for entry in entries]
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -471,27 +497,27 @@ def test_concurrent_tiered_puts_count_each_write_once(tmp_path):
         _GatedDisk(str(tmp_path / "c"), threading.Barrier(2, timeout=30)),
         MemoryLRU(8),
     )
+    observer = MetricsAggregator()
     _in_two_threads(
-        lambda key: tier.put(key, "cert", {"certified": True}),
-        ["ab" + "0" * 62, "cd" + "0" * 62],
+        lambda entry: _certify(entry, tier, observer), small_corpus(2)
     )
-    assert tier.stats.writes == 2
-    assert tier.disk.stats.writes == 2
+    assert observer.cache == {"hits": 0, "misses": 2, "writes": 2, "corrupt": 0}
 
 
 def test_concurrent_tiered_gets_count_each_corruption_once(tmp_path):
-    """The read-path twin: each get counts only its own corrupt entry."""
+    """The read-path twin: each read counts only its own corrupt entry."""
     import threading
 
     from repro.pipeline import MemoryLRU, TieredCache
 
     disk = _GatedDisk(str(tmp_path / "c"), threading.Barrier(2, timeout=30))
     tier = TieredCache(disk, MemoryLRU(8))
-    keys = ["ab" + "0" * 62, "cd" + "0" * 62]
-    for key in keys:
-        _garble(disk, key)
-    _in_two_threads(tier.get, keys)
-    assert (tier.stats.corrupt, tier.stats.misses) == (2, 2)
+    corpus = small_corpus(2)
+    for entry in corpus:
+        _garble(disk, _cert_key(entry))
+    observer = MetricsAggregator()
+    _in_two_threads(lambda entry: _certify(entry, tier, observer), corpus)
+    assert observer.cache == {"hits": 0, "misses": 2, "writes": 2, "corrupt": 2}
 
 
 def test_result_cache_reports_its_own_outcome(tmp_path):
@@ -505,23 +531,39 @@ def test_result_cache_reports_its_own_outcome(tmp_path):
     assert cache.put(key, "cert", {"bad": object()}) is False
 
 
+def test_tiered_cache_reports_its_own_outcome(tmp_path):
+    from repro.pipeline import MemoryLRU, TieredCache
+
+    disk = ResultCache(str(tmp_path / "c"))
+    tier = TieredCache(disk, MemoryLRU(8))
+    key = "ab" + "0" * 62
+    _garble(disk, key)
+    assert tier.lookup(key) == (None, True)  # memory missed; disk is corrupt
+    assert tier.put(key, "cert", {"certified": True}) is True
+    assert tier.lookup(key) == ({"certified": True}, False)
+    assert tier.lru.hits == 1  # served from memory, disk never re-read
+
+
 def test_tiered_counters_stay_exact_under_many_threads(tmp_path):
-    """Stress: more threads than cores and a tiny switch interval over
-    one disk-backed tier; every put lands once and every get is
-    exactly one hit or miss, however the threads interleave."""
+    """Stress: more threads than cores and a tiny switch interval, every
+    thread running pipelines over one disk-backed tier with one shared
+    observer; every write lands once and every read is exactly one hit
+    or miss, however the threads interleave."""
     import sys
     import threading
 
+    from repro.lang.parser import parse_statement
     from repro.pipeline import MemoryLRU, TieredCache
 
     tier = TieredCache(ResultCache(str(tmp_path / "c")), MemoryLRU(16))
+    observer = MetricsAggregator()
     threads, rounds = 8, 60
 
     def work(n):
         for i in range(rounds):
-            key = f"{n:02d}{i:062d}"
-            tier.put(key, "cert", {"n": i})
-            tier.get(key)
+            entry = (f"t{n}-{i}", parse_statement(f"x{n} := {i}"))
+            _certify(entry, tier, observer)  # a miss and a write
+            _certify(entry, tier, observer)  # a hit, from either tier
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -534,5 +576,7 @@ def test_tiered_counters_stay_exact_under_many_threads(tmp_path):
     finally:
         sys.setswitchinterval(previous)
     assert not any(worker.is_alive() for worker in workers)
-    assert tier.stats.writes == threads * rounds
-    assert tier.stats.hits + tier.stats.misses == threads * rounds
+    cells = threads * rounds
+    assert observer.cache == {
+        "hits": cells, "misses": cells, "writes": cells, "corrupt": 0,
+    }

@@ -37,7 +37,7 @@ def test_jobs1_jobs4_and_warm_cache_are_byte_identical(tmp_path):
     parallel = run_pipeline(mixed_corpus(), analyses=ANALYSES, jobs=4, use_cache=False)
     cold = run_pipeline(mixed_corpus(), analyses=ANALYSES, jobs=1, cache_dir=cache_dir)
     warm = run_pipeline(mixed_corpus(), analyses=ANALYSES, jobs=1, cache_dir=cache_dir)
-    assert warm.stats["computed"] == 0  # genuinely replayed from disk
+    assert warm.metrics["run"]["computed"] == 0  # genuinely replayed from disk
     assert serial.to_json() == parallel.to_json()
     assert serial.to_json() == cold.to_json()
     assert serial.to_json() == warm.to_json()

@@ -51,12 +51,15 @@ def test_warm_lru_hit_never_touches_the_pool(tmp_path):
         raw = request_body(analyses=["cert", "lint"])
         status, body = svc.analyze_json(raw)
         assert status == 200
-        cold_submitted = svc.pool.submitted
+        def submitted():
+            return svc.metrics_document()["service"]["pool"]["submitted"]
+
+        cold_submitted = submitted()
         assert cold_submitted >= 1  # the cold request did use the pool
         status2, body2 = svc.analyze_json(raw)
         assert (status2, body2) == (200, body)
         # zero new pool submissions: the hit was served from memory
-        assert svc.pool.submitted == cold_submitted
+        assert submitted() == cold_submitted
         assert svc.cache.lru.hits >= 2
     finally:
         svc.close()
@@ -112,7 +115,7 @@ def test_deadline_degrades_the_result_never_500s(tmp_path):
     assert data["limit"] == "deadline"
     # a budget-truncated partial result must never enter the cache
     assert svc.observer.skipped_degraded >= 1
-    assert svc.cache.stats.writes == 0
+    assert svc.metrics_document()["cache"]["writes"] == 0
 
 
 def test_default_deadline_applies_when_the_request_sets_none():
