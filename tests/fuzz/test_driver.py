@@ -105,16 +105,24 @@ def test_findings_are_shrunk_and_persisted(tmp_path, monkeypatch):
     assert all(r["reproduced"] and r["as_expected"] for r in replays)
 
 
+def _explode(payload):
+    """A ``_fuzz_worker`` that raises.  Top-level, so it pickles by name
+    into the chunk that forked workers run; a nested function could not
+    be pickled, and its chunk would fail before reaching a worker."""
+    raise RuntimeError("worker exploded")
+
+
 def test_worker_crashes_become_error_records(monkeypatch):
     import repro.fuzz.driver as driver_mod
 
-    def _boom(payload):
-        raise RuntimeError("worker exploded")
-
-    monkeypatch.setattr(driver_mod, "_fuzz_worker", _boom)
+    monkeypatch.setattr(driver_mod, "_fuzz_worker", _explode)
     result = run_fuzz(seeds=2, jobs=2, oracles=("parse-pretty",))
-    assert len(result.errors) == 2
+    assert [e["error"] for e in result.errors] == [
+        "RuntimeError: worker exploded"
+    ] * 2
     assert result.checks == 0
+    # the chunk genuinely crossed to a worker
+    assert result.metrics["chunks"]["bytes_pickled"] > 0
     assert validate_metrics(result.metrics) == []
 
 
@@ -141,6 +149,8 @@ def test_a_seed_that_kills_its_worker_is_abandoned_alone(monkeypatch):
     workers = result.metrics["workers"]
     assert workers["abandoned"] == 1
     assert workers["crashes"] == 3  # one per attempt at seed 1
+    # seeds 0 and 2 ran; the abandoned seed never finished anywhere
+    assert result.metrics["run"]["computed"] == 2
     assert validate_metrics(result.metrics) == []
 
 

@@ -218,6 +218,26 @@ def test_worker_crash_is_isolated_and_abandoned(monkeypatch):
     assert ("kaboom", "cert") in {(n, a) for n, a, _ in result.errors()}
 
 
+def test_an_abandoned_cell_is_not_counted_as_computed(monkeypatch):
+    import os
+
+    from tests.pipeline.faults import inject_fault
+
+    def die_on_poison(payload):
+        if "kaboom" in payload[0]:
+            os._exit(13)
+
+    inject_fault(monkeypatch, die_on_poison)
+    result = run_pipeline(
+        _poison_corpus(), analyses=("cert",), jobs=2, use_cache=False
+    )
+    assert result.metrics["workers"]["abandoned"] == 1
+    run = result.metrics["run"]
+    # three cells, none cached: the two healthy ones computed, the
+    # poison one never finished anywhere
+    assert (run["tasks"], run["cached"], run["computed"]) == (3, 0, 2)
+
+
 def test_transient_worker_crash_is_retried_to_success(tmp_path, monkeypatch):
     import os
 
