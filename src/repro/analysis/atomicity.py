@@ -26,14 +26,13 @@ our machine's statement-level atomicity is a modelling choice, which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple, Union
+from typing import FrozenSet, List, Set, Tuple, Union
 
 from repro.lang.ast import (
     Assign,
     Cobegin,
     Expr,
     If,
-    Node,
     Program,
     Stmt,
     Var,

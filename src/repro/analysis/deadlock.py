@@ -11,7 +11,7 @@ blocked?
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.lang.ast import Program, Stmt
 

@@ -13,7 +13,7 @@ display.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Sequence, Union
 
 from repro.core.binding import StaticBinding
 from repro.lang.ast import Program, Stmt, used_variables

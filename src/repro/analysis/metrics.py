@@ -10,7 +10,6 @@ from repro.lang.ast import (
     Begin,
     Cobegin,
     If,
-    Node,
     Program,
     Signal,
     Skip,

@@ -35,7 +35,7 @@ lattice operations, which is the paper's section 6 complexity claim
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Tuple, Union
 
 from repro.core.binding import StaticBinding
 from repro.errors import CertificationError

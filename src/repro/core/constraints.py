@@ -28,7 +28,7 @@ the binding and the graph construction can resolve it statically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.errors import CertificationError
 from repro.lang.ast import (
@@ -44,7 +44,6 @@ from repro.lang.ast import (
     Wait,
     While,
     expr_variables,
-    iter_nodes,
 )
 from repro.lattice.base import Element, Lattice
 
@@ -327,7 +326,6 @@ def complete_synthetic_binding(subject, binding):
     agrees with call-site instantiation of the procedure body.  The
     user's own bindings are never touched.
     """
-    from repro.core.binding import StaticBinding
     from repro.lang.ast import Program
 
     if not isinstance(subject, Program) or not subject.synthetic:

@@ -24,7 +24,7 @@ Concurrency handling is selectable:
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Tuple, Union
+from typing import FrozenSet, List, Union
 
 from repro.core.binding import StaticBinding
 from repro.core.cfm import Check

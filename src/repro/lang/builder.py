@@ -20,7 +20,7 @@ output are interchangeable everywhere.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from repro.lang.ast import (
     Assign,

@@ -33,14 +33,12 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import ValidationError
 from repro.lang.ast import (
     Assign,
-    Begin,
     Expr,
     Loc,
     Node,
     Program,
     Stmt,
     VarDecl,
-    iter_nodes,
     iter_statements,
     used_variables,
 )

@@ -20,7 +20,7 @@ variables; see :func:`policy_assertion`.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Mapping, NamedTuple, Optional, Tuple
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from repro.core.binding import StaticBinding
 from repro.errors import AssertionFormError
@@ -28,7 +28,6 @@ from repro.lattice.extended import ExtendedLattice
 from repro.logic.classexpr import (
     GLOBAL,
     LOCAL,
-    CertVar,
     ClassExpr,
     Symbol,
     cert_expr,

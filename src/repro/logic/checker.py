@@ -17,7 +17,7 @@ rather than trusted.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.errors import AssertionFormError, ProofError
 from repro.lang.ast import (

@@ -19,7 +19,7 @@ identity, used for "no constant contribution".
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple, Union
+from typing import FrozenSet, Iterable, Mapping, Union
 
 from repro.errors import LogicError
 from repro.lang.ast import BoolLit, Expr, IntLit, expr_variables, iter_nodes

@@ -24,7 +24,7 @@ Reasoning principles used:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Union
+from typing import Dict, FrozenSet, List, Union
 
 from repro.lattice.base import Element
 from repro.lattice.extended import NIL, ExtendedLattice

@@ -19,12 +19,12 @@ This module provides the executable counterpart:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.binding import StaticBinding
 from repro.core.cfm import CertificationReport, certify
 from repro.errors import LogicError
-from repro.lang.ast import Skip, Stmt, iter_statements
+from repro.lang.ast import Skip, iter_statements
 from repro.logic.assertions import FlowAssertion, policy_assertion
 from repro.logic.classexpr import ClassExpr
 from repro.logic.entailment import Entailment

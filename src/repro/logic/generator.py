@@ -27,7 +27,7 @@ verified by the independent checker in :mod:`repro.logic.checker`.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.core.binding import StaticBinding
 from repro.core.cfm import CertificationReport, certify
@@ -37,7 +37,6 @@ from repro.lang.ast import (
     Begin,
     Cobegin,
     If,
-    Program,
     Signal,
     Skip,
     Stmt,

@@ -19,7 +19,7 @@ generally are not (a sibling may raise a shared variable's class).
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Union
 
 from repro.core.binding import StaticBinding
 from repro.core.flowsensitive import FSReport, FSState, analyze

@@ -31,7 +31,6 @@ from repro.logic.assertions import Bound, FlowAssertion
 from repro.logic.classexpr import (
     GLOBAL,
     LOCAL,
-    CertVar,
     ClassExpr,
     VarClass,
 )

@@ -29,7 +29,7 @@ place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.core.binding import StaticBinding
 from repro.core.policy import PolicySpec

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Union
 
-from repro.errors import DeadlockError, StepLimitExceeded
+from repro.errors import DeadlockError
 from repro.lang.ast import Program, Stmt
 from repro.runtime.eval import Value
 from repro.runtime.machine import Event, Machine

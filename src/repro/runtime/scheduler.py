@@ -13,7 +13,7 @@ A scheduler is anything with ``pick(machine) -> Pid`` choosing among
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from repro.errors import RuntimeFault
 from repro.runtime.machine import Machine, Pid

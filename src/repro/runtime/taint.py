@@ -28,7 +28,7 @@ exercised heavily in the test suite and benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.core.binding import StaticBinding
 from repro.core.policy import InformationState, PolicySpec

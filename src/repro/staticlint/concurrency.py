@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Tuple
 
-from repro.lang.ast import Signal, Wait
 from repro.staticlint.cfg import CFG, CFGNode, may_run_in_parallel
 from repro.staticlint.dataflow import DataflowAnalysis, solve
-from repro.staticlint.diagnostics import Diagnostic, Span, make
+from repro.staticlint.diagnostics import Diagnostic, make
 from repro.staticlint.passes import LintContext, LintPass
 
 

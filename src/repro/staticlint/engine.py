@@ -11,7 +11,7 @@ the requested passes, and filter/sort the result.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.lang.ast import Program, Stmt

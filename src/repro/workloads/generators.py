@@ -30,7 +30,7 @@ exploration oracles skip iterated-multiplication subjects outright.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.binding import StaticBinding

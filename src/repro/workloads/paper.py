@@ -34,7 +34,7 @@ reconstruction and are verified in the test suite and benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.lang.ast import Program, Stmt
 from repro.lang.parser import parse_program, parse_statement

@@ -8,7 +8,7 @@ benchmark numbers are reproducible run to run.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.lang.ast import Program, Stmt
 from repro.workloads.generators import random_program
