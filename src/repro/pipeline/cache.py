@@ -111,14 +111,19 @@ class ResultCache:
         return self.lookup(key)[0]
 
     def lookup(self, key: str) -> Tuple[Optional[dict], bool]:
-        """:meth:`get`'s answer and whether *this* read found corruption."""
+        """:meth:`get`'s answer and whether *this* read found corruption.
+
+        A path that cannot be read (missing, or under an unreadable or
+        non-directory root) is a clean miss; only an entry that was read
+        and is not a valid record for ``key`` counts as corrupt.
+        """
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-        except FileNotFoundError:
+        except OSError:
             return None, False
-        except (OSError, ValueError):
+        except ValueError:
             payload = None
         if not isinstance(payload, dict) or payload.get("key") != key \
                 or "result" not in payload:

@@ -444,6 +444,23 @@ def test_tiered_put_does_not_count_a_swallowed_disk_write(tmp_path):
     _certify(entry, tier, observer)  # memory still serves
     assert observer.cache["writes"] == 0  # nothing durable landed
     assert (observer.cache["hits"], observer.cache["misses"]) == (1, 1)
+    assert observer.cache["corrupt"] == 0  # nothing was ever read
+
+
+def test_an_unreadable_cache_path_is_a_clean_miss(tmp_path):
+    """Regression: a root under a regular file raised
+    ``NotADirectoryError``, which the read counted as a corrupt entry
+    although nothing was on disk."""
+    blocker = tmp_path / "flat"
+    blocker.write_text("a file where the cache root should be")
+    key = "ab" + "0" * 62
+    assert ResultCache(str(blocker / "sub")).lookup(key) == (None, False)
+    result = run_pipeline(
+        small_corpus(2), analyses=("cert",), cache_dir=str(blocker / "sub")
+    )
+    assert _cache_counts(result) == {
+        "hits": 0, "misses": 2, "writes": 0, "corrupt": 0,
+    }
 
 
 def test_memory_only_tier_still_counts_writes(tmp_path):
