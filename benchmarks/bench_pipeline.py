@@ -1,6 +1,6 @@
 """Pipeline throughput and POR effectiveness, as one diffable artifact.
 
-Two experiments, emitted together as ``BENCH_pipeline.json``:
+Three experiments, emitted together as ``BENCH_pipeline.json``:
 
 * **throughput** — one corpus x analyses matrix run three ways:
   serially (``jobs=1``, no cache), parallel (``jobs=4``, no cache) and
@@ -14,14 +14,6 @@ Two experiments, emitted together as ``BENCH_pipeline.json``:
   the artifact records ``cpu_count`` and the assertion only applies
   where the hardware can deliver it.  The warm-cache ratio is
   hardware-independent.
-
-* **chunk_sweep** — the parallel matrix re-run across dispatch
-  granularities (``chunk_size`` 1 / auto / one-chunk): wall time and
-  the chunking counters (chunks submitted, cells carried, bytes
-  pickled) per granularity, every document asserted byte-identical to
-  the serial baseline.  This is the dial the chunking work exists to
-  turn: per-cell dispatch pays executor+pickle overhead per cell,
-  auto amortizes it.
 
 * **observe** — the same serial matrix with the trace sink off vs
   streaming to a JSON-lines file: the observability layer must be
@@ -66,7 +58,7 @@ THROUGHPUT_PROGRAMS = (96, 22)
 
 
 def bench_corpus(smoke: bool):
-    """The chunk sweep, observe and POR corpus."""
+    """The observe and POR corpus."""
     return concurrent_corpus(*((4, 14) if smoke else (24, 22)))
 
 
@@ -177,41 +169,6 @@ def throughput_experiment(cache_dir: str, jobs: int):
     }
 
 
-def chunk_sweep_experiment(corpus, jobs: int):
-    """The parallel matrix across dispatch granularities.
-
-    Every document must equal the serial baseline — ``chunk_size`` is
-    an execution-strategy knob with a byte-identity contract.
-    """
-    config = {"max_states": MAX_STATES}
-    expected_json = run_pipeline(
-        corpus, ANALYSES, jobs=1, use_cache=False, config=config
-    ).to_json()
-    cells = len(corpus) * len(ANALYSES)
-    rows = []
-    for label, chunk_size in (("1", 1), ("auto", None), ("all", cells)):
-        seconds, result = _timed(
-            lambda size=chunk_size: run_pipeline(
-                corpus, ANALYSES, jobs=jobs, use_cache=False,
-                config=config, chunk_size=size,
-            )
-        )
-        assert result.to_json() == expected_json, (
-            f"chunk_size={label} changed the document"
-        )
-        counters = result.metrics["chunks"]
-        rows.append(
-            {
-                "chunk_size": label,
-                "seconds": seconds,
-                "chunks_submitted": counters["submitted"],
-                "cells": counters["cells"],
-                "bytes_pickled": counters["bytes_pickled"],
-            }
-        )
-    return {"jobs": jobs, "cells": cells, "rows": rows}
-
-
 def observe_overhead_experiment(corpus):
     """Cost of the observability layer: no sink vs a live JSONL sink.
 
@@ -223,7 +180,7 @@ def observe_overhead_experiment(corpus):
     import os
     import tempfile
 
-    from repro.observe import JsonlEmitter, validate_metrics
+    from repro.observe import JsonlEmitter, MetricsAggregator, validate_metrics
 
     config = {"max_states": MAX_STATES}
     t_off, off = _timed(
@@ -236,7 +193,7 @@ def observe_overhead_experiment(corpus):
             t_on, on = _timed(
                 lambda: run_pipeline(
                     corpus, ANALYSES, jobs=1, use_cache=False,
-                    config=config, trace=emitter,
+                    config=config, observer=MetricsAggregator(sink=emitter),
                 )
             )
         finally:
@@ -312,7 +269,6 @@ def main(argv=None) -> int:
     corpus = bench_corpus(args.smoke)
     with tempfile.TemporaryDirectory() as tmp:
         throughput = throughput_experiment(args.cache_dir or tmp, args.jobs)
-    chunk_sweep = chunk_sweep_experiment(corpus, args.jobs)
     observe = observe_overhead_experiment(corpus)
     por = por_experiment(corpus)
 
@@ -331,19 +287,6 @@ def main(argv=None) -> int:
                 f"{throughput['warm_cache_seconds']:.2f}",
                 f"{throughput['speedup_warm_cache']:.1f}x",
             ),
-        ],
-    )
-    emit_table(
-        "chunked dispatch sweep (parallel, by chunk size)",
-        ["chunk size", "seconds", "chunks", "bytes pickled"],
-        [
-            (
-                row["chunk_size"],
-                f"{row['seconds']:.2f}",
-                row["chunks_submitted"],
-                row["bytes_pickled"],
-            )
-            for row in chunk_sweep["rows"]
         ],
     )
     emit_table(
@@ -378,7 +321,6 @@ def main(argv=None) -> int:
         "smoke": args.smoke,
         "cpu_count": multiprocessing.cpu_count(),
         "throughput": throughput,
-        "chunk_sweep": chunk_sweep,
         "observe": observe,
         "por": por,
     }
@@ -388,7 +330,7 @@ def main(argv=None) -> int:
     # Correctness gates hold in every mode.
     assert por["mismatches"] == 0, "POR changed an outcome set"
     assert observe["metrics_valid"], "metrics document failed validation"
-    # The chunking gate also holds in smoke mode wherever the cores
+    # The parallel gate also holds in smoke mode wherever the cores
     # exist: with >= 2 cores, jobs > 1 must actually beat serial.
     if multiprocessing.cpu_count() >= 2:
         assert throughput["speedup_parallel"] > 1.0, throughput

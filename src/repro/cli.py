@@ -78,7 +78,7 @@ def _checked(kind, admissible, expected: str):
     return parse
 
 
-#: Pools, chunks, queues and client counts.
+#: Pools, queues and client counts.
 _COUNT = _checked(int, lambda n: n >= 1, ">= 1")
 #: A cache capacity; 0 disables the tier.
 _CAPACITY = _checked(int, lambda n: n >= 0, ">= 0")
@@ -270,10 +270,8 @@ def _add_set_flag(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_pool_flags(
-    sub: argparse.ArgumentParser, jobs: int, chunk_size: bool = False
-) -> None:
-    """``--jobs``, and ``--chunk-size`` where work is dispatched in chunks."""
+def _add_pool_flags(sub: argparse.ArgumentParser, jobs: int) -> None:
+    """``--jobs``, the worker count."""
     sub.add_argument(
         "--jobs",
         type=_COUNT,
@@ -281,15 +279,6 @@ def _add_pool_flags(
         metavar="N",
         help="worker processes (default: %(default)s; 1 = in-process)",
     )
-    if chunk_size:
-        sub.add_argument(
-            "--chunk-size",
-            type=_COUNT,
-            default=None,
-            metavar="N",
-            help="cells or seeds dispatched per worker task "
-            "(default: auto-sized from the input and --jobs)",
-        )
 
 
 def _add_cache_flags(sub: argparse.ArgumentParser) -> None:
@@ -303,15 +292,6 @@ def _add_cache_flags(sub: argparse.ArgumentParser) -> None:
         "--no-cache",
         action="store_true",
         help="disable result caching (recompute everything)",
-    )
-
-
-def _add_no_fastpath(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--no-fastpath",
-        action="store_true",
-        help="disable the fused certifier fast path (run the reference "
-        "cert/denning analyzers directly)",
     )
 
 
@@ -547,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the available analyses and exit",
     )
-    _add_pool_flags(sub, jobs=1, chunk_size=True)
+    _add_pool_flags(sub, jobs=1)
     _add_cache_flags(sub)
     sub.add_argument(
         "--json",
@@ -561,7 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable partial-order reduction in the explore analysis",
     )
-    _add_no_fastpath(sub)
+    sub.add_argument(
+        "--no-fastpath",
+        action="store_true",
+        help="disable the fused certifier fast path (run the reference "
+        "cert/denning analyzers directly)",
+    )
     sub.add_argument(
         "--metrics",
         metavar="FILE",
@@ -606,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the oracle catalog and exit",
     )
-    _add_pool_flags(sub, jobs=1, chunk_size=True)
+    _add_pool_flags(sub, jobs=1)
     sub.add_argument(
         "--corpus-dir",
         default=None,
@@ -638,7 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_policy_flags(sub, high="v0")
     _add_budget_flags(sub, max_states_default=8_000, max_depth_default=600)
-    _add_no_fastpath(sub)
 
     sub = subs.add_parser(
         "serve",
@@ -669,7 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: %(default)s; 0 disables the memory tier)",
     )
     _add_deadline(sub)
-    _add_no_fastpath(sub)
     _add_admission_flags(sub, max_queue=64)
     sub.add_argument(
         "--tenant-burst",
@@ -768,7 +751,7 @@ def _pipeline_config(args) -> Dict[str, object]:
         "high": _split_codes([args.high]),
         "max_states": args.max_states,
         "max_depth": args.max_depth,
-        "fastpath": not args.no_fastpath,
+        "deadline": args.deadline,
     }
 
 
@@ -860,6 +843,7 @@ def _cmd_lint(args) -> int:
 
 def _cmd_batch(args) -> int:
     """The parallel certification pipeline."""
+    from repro.observe import NULL_EMITTER, JsonlEmitter, MetricsAggregator
     from repro.pipeline import ANALYSES, analysis_names, run_pipeline
     from repro.workloads.suites import corpus as load_corpus
     from repro.workloads.suites import corpus_names
@@ -892,14 +876,14 @@ def _cmd_batch(args) -> int:
         )
 
     config = dict(
-        _pipeline_config(args), por=not args.no_por, deadline=args.deadline
+        _pipeline_config(args),
+        por=not args.no_por,
+        fastpath=not args.no_fastpath,
     )
-    trace = None
+    sink = NULL_EMITTER
     if args.trace:
-        from repro.observe import JsonlEmitter
-
         try:
-            trace = JsonlEmitter(path=args.trace)
+            sink = JsonlEmitter(path=args.trace)
         except OSError as exc:
             raise _UsageError(f"cannot write {args.trace}: {exc}") from None
     try:
@@ -908,16 +892,13 @@ def _cmd_batch(args) -> int:
             analyses=analyses,
             jobs=args.jobs,
             cache_dir=None if args.no_cache else args.cache_dir,
-            use_cache=not args.no_cache,
             config=config,
-            trace=trace,
-            chunk_size=args.chunk_size,
+            observer=MetricsAggregator(sink=sink),
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     finally:
-        if trace is not None:
-            trace.close()
+        sink.close()
     if args.metrics:
         _write(args.metrics, json.dumps(result.metrics, indent=2, sort_keys=True))
 
@@ -980,7 +961,6 @@ def _cmd_serve(args) -> int:
         cache_dir=None if args.no_cache else args.cache_dir,
         lru_capacity=0 if args.no_cache else args.lru_size,
         default_deadline=args.deadline,
-        default_config={"fastpath": False} if args.no_fastpath else None,
         max_queue=args.max_queue,
         tenant_rps=args.tenant_rps,
         tenant_burst=args.tenant_burst,
@@ -1086,10 +1066,8 @@ def _cmd_fuzz(args) -> int:
             oracles=oracles,
             jobs=args.jobs,
             config=_pipeline_config(args),
-            deadline=args.deadline,
             do_shrink=not args.no_shrink,
             corpus_dir=args.corpus_dir,
-            chunk_size=args.chunk_size,
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.errors import LoadError
 from repro.fuzz.oracles import ORACLES, OracleSkip
-from repro.lang.parser import read_source
+from repro.lang.parser import parse_subject, read_source
 
 #: Version tag carried by every persisted finding.
 FINDING_SCHEMA = "repro-fuzz-finding/1"
@@ -112,22 +112,22 @@ def replay_finding(
     "as_expected", ...}`` where ``outcome`` is ``"violation"`` /
     ``"pass"`` / ``"skip"`` / ``"error"`` and ``as_expected`` compares
     the outcome against the record's ``expect`` field (an open finding
-    should reproduce; a fixed regression should not).
+    should reproduce; a fixed regression should not).  The record's
+    ``config``, then ``config``, overlay the pipeline defaults through
+    :func:`~repro.pipeline.analyses.merge_config`, so an unknown key or
+    an ill-typed value raises ``ValueError``, as does an unknown
+    ``kind``.
     """
-    from repro.lang.parser import parse_program, parse_statement
-    from repro.pipeline.analyses import DEFAULT_CONFIG
+    from repro.pipeline.analyses import DEFAULT_CONFIG, merge_config
 
     oracle = record["oracle"]
     if oracle not in ORACLES:
         raise ValueError(f"unknown oracle {oracle!r} in finding record")
     spec = ORACLES[oracle]
-    if record["kind"] == "program":
-        subject = parse_program(record["source"])
-    else:
-        subject = parse_statement(record["source"])
-    merged = dict(DEFAULT_CONFIG)
-    merged.update(record.get("config") or {})
-    merged.update(config or {})
+    subject = parse_subject(record["source"], record["kind"])
+    merged = merge_config(
+        DEFAULT_CONFIG, {**(record.get("config") or {}), **(config or {})}
+    )
     try:
         outcome = spec.check(subject, merged)
     except Exception as exc:  # noqa: BLE001 - a crash is itself an outcome

@@ -13,10 +13,10 @@ of pool (a caller-owned one, in-process for one seed or ``jobs <= 1``,
 else a campaign-owned :class:`~repro.pipeline.runner.WorkerPool`
 closed at the end), the same crash isolation (a seed that kills its
 worker is retried, then abandoned as a ``WorkerCrash`` error record,
-never lost silently) and the same deadline repricing (the payload
-convention puts the config dict last).  ``deadline`` rides in the
-analysis config, so a runaway exploration degrades to an inconclusive
-*skip* instead of hanging the campaign.
+never lost silently), the same chunk sizing and the same deadline
+repricing (the payload convention puts the config dict last).  The
+``deadline`` config key bounds each exploration, so a runaway one
+degrades to an inconclusive *skip* instead of hanging the campaign.
 
 The campaign result aggregates per-oracle counters into the ``fuzz``
 section of the ``repro-metrics/1`` document (see
@@ -34,7 +34,7 @@ from repro.fuzz.shrinker import shrink
 from repro.lang.ast import Program
 from repro.lang.pretty import pretty
 from repro.observe.metrics import MetricsAggregator
-from repro.pipeline.analyses import DEFAULT_CONFIG, check_config
+from repro.pipeline.analyses import DEFAULT_CONFIG, merge_config
 from repro.pipeline.runner import WorkerPool, _execute
 
 #: The campaign's analysis-config defaults.  Budgets sit well below
@@ -226,25 +226,21 @@ def run_fuzz(
     oracles: Optional[Sequence[str]] = None,
     jobs: int = 1,
     config: Optional[Dict[str, object]] = None,
-    deadline: Optional[float] = None,
     do_shrink: bool = True,
     corpus_dir: Optional[str] = None,
     observer: Optional[MetricsAggregator] = None,
     pool: Optional[WorkerPool] = None,
-    chunk_size: Optional[int] = None,
 ) -> FuzzResult:
     """Run a differential fuzzing campaign.
 
     ``seeds`` consecutive seeds starting at ``seed_start`` each
     produce one subject per generation profile; ``oracles`` restricts
     the registry (default: all).  ``config`` overlays
-    :data:`FUZZ_CONFIG`; ``deadline`` (seconds) bounds each oracle's
-    exploration wall-clock.  With ``corpus_dir`` every minimized
-    finding is persisted for replay.  ``jobs > 1`` fans two or more
-    seeds over a :class:`WorkerPool` (a caller-owned ``pool`` runs
-    every campaign); ``chunk_size`` overrides how many seeds ride in
-    one submitted worker task (default: auto-sized, see
-    ``docs/pipeline.md``).
+    :data:`FUZZ_CONFIG` (:func:`repro.pipeline.analyses.merge_config`);
+    its ``deadline`` (seconds) bounds each oracle's exploration
+    wall-clock.  With ``corpus_dir`` every minimized finding is
+    persisted for replay.  ``jobs > 1`` fans two or more seeds over a
+    :class:`WorkerPool` (a caller-owned ``pool`` runs every campaign).
     """
     started = time.perf_counter()
     names = tuple(oracles) if oracles is not None else tuple(sorted(ORACLES))
@@ -255,12 +251,7 @@ def run_fuzz(
             )
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
-    check_config(config or {})
-    merged = dict(FUZZ_CONFIG)
-    merged.update(config or {})
-    if deadline is not None:
-        merged["deadline"] = float(deadline)
-    merged["high"] = tuple(sorted(merged["high"]))
+    merged = merge_config(FUZZ_CONFIG, config)
     if observer is None:
         observer = MetricsAggregator()
 
@@ -272,7 +263,6 @@ def run_fuzz(
         observer,
         fn=_fuzz_worker,
         pool=pool,
-        chunk_size=chunk_size,
     )
 
     result = FuzzResult(seeds=seeds)
@@ -316,7 +306,7 @@ def run_fuzz(
     result.metrics = observer.to_dict(
         elapsed_seconds=result.elapsed_seconds,
         jobs=jobs,
-        deadline=merged.get("deadline"),
+        deadline=merged["deadline"],
         fuzz=result.fuzz_section(),
     )
     return result

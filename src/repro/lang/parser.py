@@ -35,7 +35,7 @@ is.  The count is kept while parsing, O(1) per node.
 from __future__ import annotations
 
 import sys
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from repro.errors import LoadError, ParseError
 from repro.lang.ast import (
@@ -474,6 +474,17 @@ def parse_statement(source: str) -> Stmt:
     if parser._peek().kind != "eof":
         raise parser._error("expected end of input after statement")
     return stmt
+
+
+def parse_subject(source: str, kind: str) -> Union[Program, Stmt]:
+    """Parse source text as a ``"program"`` or a ``"statement"``."""
+    if kind == "program":
+        return parse_program(source)
+    if kind == "statement":
+        return parse_statement(source)
+    raise ValueError(
+        f"unknown subject kind {kind!r}; expected 'program' or 'statement'"
+    )
 
 
 def parse_expression(source: str) -> Expr:

@@ -27,12 +27,12 @@ single program.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.lang.ast import Program, Stmt, program_size, used_variables
 from repro.lattice import SCHEMES
 
-#: Configuration defaults; ``run_pipeline`` overlays user overrides.
+#: Configuration defaults; :func:`merge_config` overlays user overrides.
 DEFAULT_CONFIG: Dict[str, object] = {
     "scheme": "two-level",
     #: Variables bound to the scheme top; the rest bind to bottom.
@@ -115,6 +115,25 @@ def check_config(config: Dict[str, object]) -> None:
             raise ValueError(
                 f"config {key!r} must be {expected}, got {value!r}"
             )
+
+
+def merge_config(
+    defaults: Dict[str, object], config: Optional[Dict[str, object]]
+) -> Dict[str, object]:
+    """``config`` checked (:func:`check_config`) and laid over ``defaults``.
+
+    The result is canonical, so one setting has one cache key and one
+    document echo however it was spelled: ``high`` is the sorted tuple
+    of its distinct names and ``deadline`` a float or ``None``.
+    """
+    config = config or {}
+    check_config(config)
+    merged = dict(defaults)
+    merged.update(config)
+    merged["high"] = tuple(sorted(set(merged["high"])))
+    if merged["deadline"] is not None:
+        merged["deadline"] = float(merged["deadline"])
+    return merged
 
 
 def _binding(subject: Subject, config: dict):

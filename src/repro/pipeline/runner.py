@@ -15,8 +15,8 @@ document.  The execution strategy:
    always gets them).  Tasks are dispatched in *chunks*: many
    (program, analysis) cells ride one submitted task, so executor
    dispatch and pickling are amortized instead of dominating tiny
-   analyses (``chunk_size``; auto-sized from the pending-cell count
-   and ``jobs``).  Workers re-parse the source, which costs more than
+   analyses (chunks are sized from the pending-cell count and
+   ``jobs``).  Workers re-parse the source, which costs more than
    a cert or Denning pass, so each chunk carries each of its programs'
    text once and the worker parses it once (:class:`_Source`);
 4. fresh results are written back to the cache and merged, and the
@@ -32,14 +32,14 @@ repeatedly kills its worker is abandoned with a ``WorkerCrash`` error
 record.  Every dispatch round — the first, and each retry round —
 goes through :meth:`WorkerPool.run`'s one submit-and-collect step, and
 the fuzz driver shares the pipeline's pool lifecycle (:func:`_execute`).
-An analysis that exhausts its :class:`repro.observe.Budget`
-(``deadline=...``) returns a partial result flagged ``degraded``;
-degraded results are reported but never cached.
+An analysis that exhausts its :class:`repro.observe.Budget` (the
+``deadline`` config key) returns a partial result flagged
+``degraded``; degraded results are reported but never cached.
 
 Observability: the run narrates itself through a
 :class:`repro.observe.MetricsAggregator` — per-task spans, pool
 lifecycle events, each cache read's own outcome and each write that
-landed — which both feeds an optional JSON-lines trace sink and
+landed — which both feeds its trace sink, if it has one, and
 renders the metrics document available as
 :attr:`PipelineResult.metrics` (and ``repro batch --metrics``).  The
 aggregator is the only thing that counts: the caches and the worker
@@ -68,10 +68,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import repro
 from repro.lang.ast import Program, Stmt
-from repro.lang.parser import parse_program, parse_statement
+from repro.lang.parser import parse_subject
 from repro.lang.pretty import pretty
-from repro.observe import MetricsAggregator, TraceEmitter
-from repro.pipeline.analyses import ANALYSES, DEFAULT_CONFIG, check_config
+from repro.observe import MetricsAggregator
+from repro.pipeline.analyses import ANALYSES, DEFAULT_CONFIG, merge_config
 from repro.pipeline.cache import ResultCache, cache_key
 
 Subject = Union[Program, Stmt]
@@ -109,10 +109,6 @@ class _Source:
         return _Source, (self.text,)
 
 
-def _subject_from_source(source: str, kind: str) -> Subject:
-    return parse_program(source) if kind == "program" else parse_statement(source)
-
-
 def _error_record(exc: BaseException) -> dict:
     """A structured, deterministic per-item error entry."""
     tb = "".join(
@@ -142,7 +138,7 @@ def _compute(payload: Tuple[_Source, str, str, dict]) -> dict:
     try:
         subject = shared.parsed.get(kind)
         if subject is None:
-            subject = _subject_from_source(source, kind)
+            subject = parse_subject(source, kind)
             shared.parsed[kind] = subject
         result = spec.run(subject, config)
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
@@ -172,7 +168,7 @@ def _run_chunk(fn, chunk: List[tuple]) -> List[dict]:
 
 
 def _auto_chunk_size(cells: int, jobs: int) -> int:
-    """Cells per chunk when the caller sets no ``chunk_size``."""
+    """Cells per chunk: about :data:`_CHUNKS_PER_WORKER` chunks per worker."""
     return max(1, -(-cells // (jobs * _CHUNKS_PER_WORKER)))
 
 
@@ -300,12 +296,9 @@ def run_pipeline(
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
     config: Optional[Dict[str, object]] = None,
-    deadline: Optional[float] = None,
-    trace: Optional[TraceEmitter] = None,
     pool: Optional[WorkerPool] = None,
     cache: Optional[object] = None,
     observer: Optional[MetricsAggregator] = None,
-    chunk_size: Optional[int] = None,
 ) -> PipelineResult:
     """Run ``analyses`` over every program in ``corpus``.
 
@@ -313,19 +306,19 @@ def run_pipeline(
     unique names.  ``jobs > 1`` fans cache misses out over a process
     pool; ``cache_dir`` (with ``use_cache=True``) enables the on-disk
     content-addressed cache.  ``config`` overlays
-    :data:`repro.pipeline.analyses.DEFAULT_CONFIG`; unknown keys and
-    ill-typed values are rejected (:func:`check_config`) so typos cannot
-    silently produce wrong cache keys or a different policy.
+    :data:`repro.pipeline.analyses.DEFAULT_CONFIG` in canonical form
+    (:func:`repro.pipeline.analyses.merge_config`); unknown keys and
+    ill-typed values are rejected so typos cannot silently produce
+    wrong cache keys or a different policy.
 
-    ``deadline`` (seconds) is the per-analysis wall-clock budget: an
-    analysis that exhausts it returns a partial result flagged
-    ``degraded`` and the batch carries on — so one divergent or
+    ``config["deadline"]`` (seconds) is the per-analysis wall-clock
+    budget: an analysis that exhausts it returns a partial result
+    flagged ``degraded`` and the batch carries on — so one divergent or
     state-explosive program costs at most the deadline, never the run.
     Deadlines are per *task*: every (program, analysis) cell starts its
     own clock, so an earlier slow task never shortens a later one's
-    grant.  ``trace`` (a :class:`repro.observe.TraceEmitter`) receives
-    the run's spans and lifecycle events; the aggregated metrics
-    document is always available as :attr:`PipelineResult.metrics`.
+    grant.  The aggregated metrics document is always available as
+    :attr:`PipelineResult.metrics`.
 
     The three resident-service hooks (``repro serve`` uses all of
     them): ``pool`` is a caller-owned :class:`WorkerPool` reused
@@ -334,19 +327,14 @@ def run_pipeline(
     :class:`repro.pipeline.cache.TieredCache`) that overrides
     ``cache_dir``/``use_cache``; ``observer`` is a caller-owned
     :class:`repro.observe.MetricsAggregator` that accumulates across
-    calls (when given, ``trace`` should be wired as its sink).  The
-    observer counts the cache's outcomes, so a shared cache used
-    without a shared observer reports each run's own counts.
-
-    ``chunk_size`` sets how many (program, analysis) cells ride one
-    submitted worker task (CLI: ``--chunk-size``).  ``None`` auto-sizes
-    from the pending-cell count and ``jobs``; ``1`` restores per-cell
-    dispatch.  Chunking is an execution-strategy knob like ``jobs``:
-    the document is byte-identical for every value.
+    calls, and whose sink (a :class:`repro.observe.TraceEmitter`)
+    receives the run's spans and lifecycle events.  The observer
+    counts the cache's outcomes, so a shared cache used without a
+    shared observer reports each run's own counts.
     """
     started = time.perf_counter()
     if observer is None:
-        observer = MetricsAggregator(sink=trace) if trace is not None else MetricsAggregator()
+        observer = MetricsAggregator()
     for analysis in analyses:
         if analysis not in ANALYSES:
             raise ValueError(
@@ -355,14 +343,7 @@ def run_pipeline(
             )
     if not analyses:
         raise ValueError("no analyses requested")
-    check_config(config or {})
-    merged = dict(DEFAULT_CONFIG)
-    merged.update(config or {})
-    if deadline is not None:
-        merged["deadline"] = float(deadline)
-    # Normalize sequence-valued knobs so cache keys don't depend on
-    # whether the caller passed a list or a tuple.
-    merged["high"] = tuple(sorted(merged["high"]))
+    merged = merge_config(DEFAULT_CONFIG, config)
 
     entries = _canonical_corpus(corpus)
     analyses = tuple(analyses)
@@ -405,9 +386,7 @@ def run_pipeline(
             labels.append((name, analysis))
             payloads.append((sources[source], kind, analysis, dict(merged)))
 
-    computed = _execute(
-        labels, payloads, jobs, observer, pool=pool, chunk_size=chunk_size
-    )
+    computed = _execute(labels, payloads, jobs, observer, pool=pool)
     seconds: Dict[Tuple[int, str], Optional[float]] = {}
     for cell, envelope in zip(pending, computed):
         result = envelope["result"]
@@ -455,7 +434,7 @@ def run_pipeline(
     # ``PipelineResult.metrics`` would never contain it.
     observer.span("run", elapsed, jobs=jobs, tasks=len(entries) * len(analyses))
     metrics = observer.to_dict(
-        elapsed_seconds=elapsed, jobs=jobs, deadline=merged.get("deadline")
+        elapsed_seconds=elapsed, jobs=jobs, deadline=merged["deadline"]
     )
     return PipelineResult(programs, tuple(sorted(analyses)), merged, metrics)
 
@@ -595,7 +574,6 @@ class WorkerPool:
         payloads: List[tuple],
         observer: MetricsAggregator,
         fn=None,
-        chunk_size: Optional[int] = None,
     ) -> List[dict]:
         """Run one batch of cells, retrying across worker crashes.
 
@@ -604,9 +582,9 @@ class WorkerPool:
         ``labels`` names each cell ``(program, analysis)`` in the
         ``task_retry``/``task_abandoned`` events and ``WorkerCrash``
         records.  Every round goes through one submit-and-collect step:
-        the first round hands it all of its chunks of ``chunk_size``
-        cells (default: auto-sized — see :func:`_auto_chunk_size`),
-        each one submitted :func:`_run_chunk` task with per-cell
+        the first round hands it all of its chunks (sized by
+        :func:`_auto_chunk_size`), each one submitted
+        :func:`_run_chunk` task with per-cell
         exception isolation inside.  When a worker dies the broken
         executor is rebuilt and only the unfinished cells are retried,
         up to :data:`MAX_TASK_ATTEMPTS` attempts per cell; a retry
@@ -626,8 +604,6 @@ class WorkerPool:
 
         if fn is None:
             fn = _compute
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         results: List[Optional[dict]] = [None] * len(payloads)
         attempts = [0] * len(payloads)
         first_submitted: List[Optional[float]] = [None] * len(payloads)
@@ -707,7 +683,7 @@ class WorkerPool:
                 for i in remaining:
                     submit_and_collect([[i]], now)
             else:
-                size = chunk_size or _auto_chunk_size(len(remaining), self.jobs)
+                size = _auto_chunk_size(len(remaining), self.jobs)
                 submit_and_collect(
                     [remaining[pos:pos + size]
                      for pos in range(0, len(remaining), size)],
@@ -749,7 +725,6 @@ def _execute(
     observer: MetricsAggregator,
     fn=None,
     pool: Optional[WorkerPool] = None,
-    chunk_size: Optional[int] = None,
 ) -> List[dict]:
     """Run ``fn`` over ``payloads`` on the pool this call picks.
 
@@ -765,11 +740,11 @@ def _execute(
     if pool is not None:
         if not payloads:
             return []
-        return pool.run(labels, payloads, observer, fn=fn, chunk_size=chunk_size)
+        return pool.run(labels, payloads, observer, fn=fn)
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(payload) for payload in payloads]
     own = WorkerPool(jobs)
     try:
-        return own.run(labels, payloads, observer, fn=fn, chunk_size=chunk_size)
+        return own.run(labels, payloads, observer, fn=fn)
     finally:
         own.close()

@@ -40,7 +40,7 @@ import traceback
 from typing import Dict, Optional, Tuple
 
 import repro
-from repro.lang.parser import parse_program, parse_statement
+from repro.lang.parser import parse_subject
 from repro.lang.validate import validate_program
 from repro.observe import MetricsAggregator, TokenBucket
 from repro.pipeline import (
@@ -109,9 +109,6 @@ class AnalysisService:
     the memory tier; with both disabled every request recomputes.
     ``default_deadline`` applies to requests that do not set
     ``config.deadline`` themselves (``None`` = unlimited).
-    ``default_config`` entries back-fill request configs the same way
-    (per-request values always win) — ``repro serve --no-fastpath``
-    passes ``{"fastpath": False}`` through it.
 
     Admission: ``max_queue`` bounds ``in_flight + waiting`` (requests
     running the pipeline plus admitted requests still parsing); a
@@ -126,7 +123,6 @@ class AnalysisService:
         cache_dir: Optional[str] = None,
         lru_capacity: int = 4096,
         default_deadline: Optional[float] = None,
-        default_config: Optional[dict] = None,
         max_queue: int = 64,
         tenant_rps: Optional[float] = None,
         tenant_burst: Optional[float] = None,
@@ -139,7 +135,6 @@ class AnalysisService:
             raise ValueError(f"tenant_rps must be > 0, got {tenant_rps}")
         self.jobs = jobs
         self.default_deadline = default_deadline
-        self.default_config = dict(default_config or {})
         self.pool: Optional[WorkerPool] = WorkerPool(jobs) if jobs > 1 else None
         disk = ResultCache(cache_dir) if cache_dir else None
         if disk is None and lru_capacity == 0:
@@ -404,8 +399,6 @@ class AnalysisService:
             config["deadline"] = request["deadline"]
         if "deadline" not in config and self.default_deadline is not None:
             config["deadline"] = self.default_deadline
-        for key, value in self.default_config.items():
-            config.setdefault(key, value)
         try:
             check_config(config)
         except ValueError as exc:
@@ -455,11 +448,7 @@ class AnalysisService:
                     f"got {kind!r}"
                 )
             try:
-                subject = (
-                    parse_program(source)
-                    if kind == "program"
-                    else parse_statement(source)
-                )
+                subject = parse_subject(source, kind)
             except Exception as exc:
                 raise ServiceError(f"{name}: parse error: {exc}")
             if kind == "program":

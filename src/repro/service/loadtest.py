@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import repro
-from repro.lang.parser import parse_program, parse_statement
+from repro.lang.parser import parse_subject
 from repro.observe import validate_metrics
 from repro.pipeline import run_pipeline
 
@@ -130,11 +130,7 @@ def _steady_requests() -> List[Tuple[bytes, bytes]]:
             "analyses": entry["analyses"],
             "config": entry["config"],
         }
-        subject = (
-            parse_program(source)
-            if entry["kind"] == "program"
-            else parse_statement(source)
-        )
+        subject = parse_subject(source, entry["kind"])
         expected = run_pipeline(
             [(entry["name"], subject)],
             analyses=tuple(entry["analyses"]),

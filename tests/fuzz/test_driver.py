@@ -136,11 +136,11 @@ def _die_on_seed_1(seed, profile):
 
 def test_a_seed_that_kills_its_worker_is_abandoned_alone(monkeypatch):
     import repro.fuzz.driver as driver_mod
+    from tests.pipeline.faults import fix_chunk_size
 
     monkeypatch.setattr(driver_mod, "generate_subject", _die_on_seed_1)
-    result = run_fuzz(
-        seeds=3, jobs=2, oracles=("parse-pretty",), chunk_size=3
-    )
+    fix_chunk_size(monkeypatch, 3)
+    result = run_fuzz(seeds=3, jobs=2, oracles=("parse-pretty",))
     assert [(e["seed"], e["error_type"]) for e in result.errors] == [
         (1, "WorkerCrash")
     ]

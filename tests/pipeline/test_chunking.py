@@ -1,10 +1,12 @@
 """Chunked dispatch: byte-identity, per-cell isolation, accounting.
 
-The chunking PR's contract: ``chunk_size`` (like ``jobs`` and the
-cache) is an execution-strategy knob — the pipeline document is
-byte-identical for every value — while per-cell crash isolation,
-retry/abandon accounting, and deadline repricing survive the move from
-one-cell-per-task to many-cells-per-task dispatch.
+The contract: the chunk size (like ``jobs`` and the cache) is an
+execution strategy — the pipeline document is byte-identical for every
+size — while per-cell crash isolation, retry/abandon accounting, and
+deadline repricing survive the move from one-cell-per-task to
+many-cells-per-task dispatch.  The pipeline always sizes chunks with
+``_auto_chunk_size``; these tests pin other sizes through the
+``fix_chunk_size`` seam of ``tests/pipeline/faults.py``.
 """
 
 import os
@@ -19,6 +21,7 @@ from repro.pipeline.runner import (
     _run_chunk,
 )
 from repro.workloads.litmus import CASES
+from tests.pipeline.faults import fix_chunk_size
 
 
 def litmus_corpus(count=None):
@@ -74,13 +77,14 @@ def test_run_chunk_isolates_an_unpicklable_envelope():
 # -- byte-identity across the chunk-size x jobs x cache matrix ---------------
 
 
-def test_document_is_byte_identical_across_chunk_sizes_and_jobs():
+def test_document_is_byte_identical_across_chunk_sizes_and_jobs(monkeypatch):
     corpus = litmus_corpus()
     analyses = ("cert", "lint")
     baseline = run_pipeline(corpus, analyses=analyses, jobs=1, use_cache=False)
     expected = baseline.to_json()
     cells = len(corpus) * len(analyses)
     for chunk_size in (1, None, cells):
+        fix_chunk_size(monkeypatch, chunk_size)
         for jobs in (1, 4):
             combo = f"chunk_size={chunk_size} jobs={jobs}"
             # a fresh cache per combination: every cold run genuinely
@@ -91,33 +95,33 @@ def test_document_is_byte_identical_across_chunk_sizes_and_jobs():
                     analyses=analyses,
                     jobs=jobs,
                     cache_dir=cache_dir,
-                    chunk_size=chunk_size,
                 )
                 warm = run_pipeline(
                     corpus,
                     analyses=analyses,
                     jobs=jobs,
                     cache_dir=cache_dir,
-                    chunk_size=chunk_size,
                 )
                 assert cold.to_json() == expected, combo
                 assert warm.to_json() == expected, combo
                 assert warm.metrics["run"]["computed"] == 0, combo
 
 
-def test_chunk_counters_reflect_the_requested_granularity():
+def test_chunk_counters_reflect_the_requested_granularity(monkeypatch):
     corpus = litmus_corpus()
     analyses = ("cert", "lint")
     cells = len(corpus) * len(analyses)
 
+    fix_chunk_size(monkeypatch, 1)
     singleton = run_pipeline(
-        corpus, analyses=analyses, jobs=2, use_cache=False, chunk_size=1
+        corpus, analyses=analyses, jobs=2, use_cache=False
     )
     assert singleton.metrics["chunks"]["submitted"] == cells
     assert singleton.metrics["chunks"]["cells"] == cells
 
+    fix_chunk_size(monkeypatch, cells)
     one_chunk = run_pipeline(
-        corpus, analyses=analyses, jobs=2, use_cache=False, chunk_size=cells
+        corpus, analyses=analyses, jobs=2, use_cache=False
     )
     assert one_chunk.metrics["chunks"]["submitted"] == 1
     assert one_chunk.metrics["chunks"]["cells"] == cells
@@ -134,17 +138,6 @@ def test_chunk_counters_reflect_the_requested_granularity():
         "cells": 0,
         "bytes_pickled": 0,
     }
-
-
-def test_chunk_size_is_validated():
-    from repro.pipeline.runner import WorkerPool
-
-    with pytest.raises(ValueError, match="chunk_size"):
-        pool = WorkerPool(2)
-        try:
-            pool.run([], [], None, chunk_size=-1)
-        finally:
-            pool.close()
 
 
 # -- crash isolation inside a chunk ------------------------------------------
@@ -174,12 +167,12 @@ def test_crash_in_a_chunk_retries_cellmates_and_abandons_the_poison(
             os._exit(13)
 
     inject_fault(monkeypatch, die_on_poison)
+    fix_chunk_size(monkeypatch, 3)  # all three cells share one chunk
     result = run_pipeline(
         _poison_corpus(),
         analyses=("cert",),
         jobs=2,
         use_cache=False,
-        chunk_size=3,  # all three cells share one chunk
     )
     data = result.program("kaboom")["analyses"]["cert"]
     assert data["error_type"] == "WorkerCrash"
@@ -207,12 +200,12 @@ def test_transient_crash_in_a_chunk_recovers_every_cell(
             os._exit(13)
 
     inject_fault(monkeypatch, die_once)
+    fix_chunk_size(monkeypatch, 3)
     result = run_pipeline(
         _poison_corpus(),
         analyses=("cert",),
         jobs=2,
         use_cache=False,
-        chunk_size=3,
     )
     assert result.errors() == []
     assert result.metrics["run"]["computed"] == 3
@@ -265,7 +258,7 @@ class _InlineExecutor:
         pass
 
 
-def test_never_submitted_cells_are_not_charged_wall_clock():
+def test_never_submitted_cells_are_not_charged_wall_clock(monkeypatch):
     """Regression: ``first_submitted`` must be stamped only after
     ``pool.submit`` succeeds.  A cell whose submission never happened
     (the pool broke mid-submission-loop) must get its *full* deadline
@@ -274,6 +267,7 @@ def test_never_submitted_cells_are_not_charged_wall_clock():
     from repro.observe import MetricsAggregator
 
     _SPY_DEADLINES.clear()
+    fix_chunk_size(monkeypatch, 1)
     pool = _MidLoopBreakPool()
     try:
         labels = [(f"p{i}", "cert") for i in range(2)]
@@ -286,7 +280,6 @@ def test_never_submitted_cells_are_not_charged_wall_clock():
             payloads,
             MetricsAggregator(),
             fn=_deadline_spy,
-            chunk_size=1,
         )
     finally:
         pool.close()
@@ -360,13 +353,12 @@ def test_persistent_pool_document_matches_serial():
 # -- the fuzz driver's custom entry point over chunked dispatch --------------
 
 
-def test_fuzz_driver_chunked_run_matches_serial():
+def test_fuzz_driver_chunked_run_matches_serial(monkeypatch):
     from repro.fuzz import run_fuzz
 
     serial = run_fuzz(seeds=4, oracles=("cert-equiv",), jobs=1)
-    chunked = run_fuzz(
-        seeds=4, oracles=("cert-equiv",), jobs=2, chunk_size=2
-    )
+    fix_chunk_size(monkeypatch, 2)
+    chunked = run_fuzz(seeds=4, oracles=("cert-equiv",), jobs=2)
     assert chunked.seeds == serial.seeds
     assert chunked.checks == serial.checks
     assert chunked.skips == serial.skips

@@ -56,8 +56,7 @@ def test_pipeline_deadline_degrades_only_the_runaway_item():
         divergent_corpus(),
         analyses=("explore", "cert"),
         use_cache=False,
-        config={"max_states": HUGE, "max_depth": HUGE},
-        deadline=0.1,
+        config={"max_states": HUGE, "max_depth": HUGE, "deadline": 0.1},
     )
     assert result.errors() == []  # degraded is not an error
     assert result.degraded() == [("divergent", "explore", "deadline")]
@@ -76,8 +75,7 @@ def test_degraded_results_are_never_cached(tmp_path):
     kwargs = dict(
         analyses=("explore",),
         cache_dir=str(tmp_path / "cache"),
-        config={"max_states": HUGE, "max_depth": HUGE},
-        deadline=0.1,
+        config={"max_states": HUGE, "max_depth": HUGE, "deadline": 0.1},
     )
     first = run_pipeline(divergent_corpus(), **kwargs)
     assert first.degraded()

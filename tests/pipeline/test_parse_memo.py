@@ -14,11 +14,13 @@ import pytest
 
 from repro.lang import builder as b
 from repro.lang.ast import Program
+from repro.lang.parser import parse_subject
 from repro.lang.pretty import pretty
 from repro.pipeline import ANALYSES, DEFAULT_CONFIG, run_pipeline
 from repro.pipeline import runner
 from repro.workloads.generators import sized_program
 from repro.workloads.suites import corpus
+from tests.pipeline.faults import fix_chunk_size
 
 
 def _kind(subject) -> str:
@@ -27,14 +29,12 @@ def _kind(subject) -> str:
 
 def _count_parses(monkeypatch, log):
     """Log every worker parse to ``log``; forked workers inherit it."""
-    real = runner._subject_from_source
-
     def counting(source, kind):
         with open(log, "a", encoding="utf-8") as handle:
             handle.write(f"{kind}\n")
-        return real(source, kind)
+        return parse_subject(source, kind)
 
-    monkeypatch.setattr(runner, "_subject_from_source", counting)
+    monkeypatch.setattr(runner, "parse_subject", counting)
 
 
 def _parses(log) -> int:
@@ -55,12 +55,12 @@ def test_each_program_is_parsed_once_per_chunk(
 ):
     log = tmp_path / "parses.log"
     _count_parses(monkeypatch, log)
+    fix_chunk_size(monkeypatch, chunk_size)
     result = run_pipeline(
         _programs(5),
         analyses=("cert", "denning"),
         jobs=jobs,
         use_cache=False,
-        chunk_size=chunk_size,
     )
     assert not result.errors()
     assert _parses(log) == parses
@@ -83,7 +83,7 @@ def test_a_shared_subject_gives_every_analysis_its_fresh_result(fastpath):
         source, kind = pretty(subject), _kind(subject)
 
         def parse():
-            return runner._subject_from_source(source, kind)
+            return parse_subject(source, kind)
 
         fresh = {a: _outcome(a, parse(), config) for a in ANALYSES}
         for first, second in itertools.permutations(ANALYSES, 2):
@@ -107,12 +107,12 @@ def test_a_failing_parse_is_retried_and_reported_for_every_cell(
     analyses = ("cert", "denning", "lint")
 
     def run():
+        fix_chunk_size(monkeypatch, len(analyses))
         return run_pipeline(
             [("bad", _unparseable())],
             analyses=analyses,
             jobs=jobs,
             use_cache=False,
-            chunk_size=len(analyses),
         )
 
     log = tmp_path / "parses.log"

@@ -88,6 +88,77 @@ def test_default_configs_pass_the_config_check():
     check_config({"high": ["h"], "deadline": 2, "max_states": 10**8})
 
 
+@pytest.mark.parametrize("call,removed", [
+    ("run_pipeline", "chunk_size"),
+    ("run_pipeline", "deadline"),
+    ("run_pipeline", "trace"),
+    ("run_fuzz", "chunk_size"),
+    ("run_fuzz", "deadline"),
+    ("WorkerPool.run", "chunk_size"),
+])
+def test_removed_run_parameters_are_type_errors(call, removed):
+    """The deadline rides in the config, a trace sink on the observer,
+    and chunks are always auto-sized."""
+    from repro.fuzz import run_fuzz
+    from repro.observe import MetricsAggregator
+    from repro.pipeline import WorkerPool
+
+    pool = WorkerPool(2)
+    calls = {
+        "run_pipeline": lambda **kw: run_pipeline(
+            litmus_corpus()[:1], analyses=("cert",), use_cache=False, **kw
+        ),
+        "run_fuzz": lambda **kw: run_fuzz(
+            seeds=1, oracles=("parse-pretty",), **kw
+        ),
+        "WorkerPool.run": lambda **kw: pool.run([], [], MetricsAggregator(), **kw),
+    }
+    try:
+        with pytest.raises(TypeError, match=removed):
+            calls[call](**{removed: 2})
+    finally:
+        pool.close()
+
+
+def test_an_integer_deadline_is_one_setting_with_its_float(tmp_path):
+    """``deadline`` 5 and 5.0 share one explore cache entry per cell
+    and print one document."""
+    corpus = litmus_corpus()[:2]
+    cache_dir = tmp_path / "cache"
+    first, second = (
+        run_pipeline(
+            corpus,
+            analyses=("explore",),
+            cache_dir=str(cache_dir),
+            config={"deadline": deadline},
+        )
+        for deadline in (5, 5.0)
+    )
+    assert second.metrics["cache"]["hits"] == len(corpus)
+    assert len(list(cache_dir.rglob("*.json"))) == len(corpus)
+    assert first.to_json() == second.to_json()
+    assert first.to_dict()["config"]["deadline"] == 5.0
+
+
+def test_cli_batch_repeated_high_names_are_one_policy(tmp_path, capsys):
+    """``--high h,h`` is ``--high h``: one cache entry, one document."""
+    import json
+
+    program = tmp_path / "p.rl"
+    program.write_text("var h, l : integer; l := h")
+    cache_dir = tmp_path / "cache"
+    documents = []
+    for high in ("h,h", "h"):
+        assert main(
+            ["batch", str(program), "--analyses", "cert", "--high", high,
+             "--cache-dir", str(cache_dir), "--json"]
+        ) == 0
+        documents.append(capsys.readouterr().out)
+    assert documents[0] == documents[1]
+    assert json.loads(documents[0])["config"]["high"] == ["h"]
+    assert len(list(cache_dir.rglob("*.json"))) == 1
+
+
 def test_analysis_failure_is_reported_not_fatal():
     """A program one analysis cannot handle yields an error entry."""
     from repro.lang.parser import parse_statement

@@ -199,7 +199,7 @@ def test_bad_front_line_parameters_are_rejected():
         AnalysisService(jobs=2, tenant_rps=0.0)
 
 
-@pytest.mark.parametrize("removed", ["shards", "chunk_size"])
+@pytest.mark.parametrize("removed", ["shards", "chunk_size", "default_config"])
 def test_removed_constructor_arguments_are_type_errors(removed):
     with pytest.raises(TypeError, match=removed):
         AnalysisService(jobs=1, cache_dir=None, **{removed: 2})

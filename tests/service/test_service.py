@@ -45,6 +45,27 @@ def test_response_is_byte_identical_to_the_batch_document(tmp_path):
     assert svc.cache.lru.hits >= 2
 
 
+def test_an_integer_deadline_is_served_as_batch_prints_it(tmp_path, capsys):
+    """A served ``"deadline": 2`` and ``repro batch --deadline 2`` are
+    one setting: the config echo reads 2.0 in both documents."""
+    from repro.cli import main
+
+    path = tmp_path / "figure3.rl"
+    path.write_text(FIGURE3_SOURCE)
+    assert main(
+        ["batch", str(path), "--analyses", "cert,explore", "--no-cache",
+         "--deadline", "2", "--json"]
+    ) == 0
+    batch = capsys.readouterr().out.encode("utf-8")
+    svc = AnalysisService(jobs=1, cache_dir=None, lru_capacity=0)
+    status, body = svc.analyze_json(
+        request_body(analyses=["cert", "explore"], config={"deadline": 2})
+    )
+    assert status == 200
+    assert body == batch
+    assert json.loads(body)["config"]["deadline"] == 2.0
+
+
 def test_warm_lru_hit_never_touches_the_pool(tmp_path):
     svc = AnalysisService(jobs=2, cache_dir=str(tmp_path / "cache"))
     try:

@@ -1,5 +1,6 @@
 """The command-line interface."""
 
+import json
 import re
 
 import pytest
@@ -207,10 +208,9 @@ def _exit_code(argv):
     (["serve", "--tenant-burst", "0.5"], "--tenant-burst"),
     (["loadtest", "--jobs", "0"], "--jobs"),
     (["batch", "--corpus", "litmus", "--jobs", "-4"], "--jobs"),
-    (["batch", "--corpus", "litmus", "--jobs", "1", "--chunk-size", "0"],
-     "--chunk-size"),
+    (["serve", "--lru-size", "many"], "--lru-size"),
     (["fuzz", "--jobs", "0"], "--jobs"),
-    (["fuzz", "--chunk-size", "0"], "--chunk-size"),
+    (["serve", "--tenant-burst", "lots"], "--tenant-burst"),
     (["loadtest", "--clients", "0"], "--clients"),
     (["loadtest", "--overload-clients", "0"], "--overload-clients"),
     (["loadtest", "--tenant-rps", "-1"], "--tenant-rps"),
@@ -282,11 +282,13 @@ def test_bad_counts_and_unreadable_files_are_usage_errors(
     (["fuzz", "--replay", "{missing}"], "cannot read {missing}"),
     (["fuzz", "--replay", "{corpus}"], "{corpus}/garbled.json is not JSON"),
     (["fuzz", "--replay", "{listed}"], "{listed}/list.json has schema None"),
+    (["fuzz", "--replay", "{bogus}"], "unknown subject kind 'bogus'"),
 ])
 def test_bad_values_and_files_are_one_line_errors(tmp_path, capsys, argv, named):
     """Regression: each of these died with a traceback and exit 1, and
     ``fuzz --replay`` of a missing directory replayed nothing and
-    passed (exit 0)."""
+    passed (exit 0), as did a finding of an unknown kind, which
+    replayed as a statement."""
     program = tmp_path / "p.rl"
     program.write_text("var x, y : integer; begin x := 1; y := x end")
     (tmp_path / "garbled.json").write_text("{not json")
@@ -294,6 +296,11 @@ def test_bad_values_and_files_are_one_line_errors(tmp_path, capsys, argv, named)
     (tmp_path / "corpus" / "garbled.json").write_text("{not json")
     (tmp_path / "listed").mkdir()
     (tmp_path / "listed" / "list.json").write_text("[1, 2]")
+    (tmp_path / "bogus").mkdir()
+    (tmp_path / "bogus" / "finding.json").write_text(json.dumps({
+        "schema": "repro-fuzz-finding/1", "oracle": "parse-pretty",
+        "kind": "bogus", "source": "x := 1",
+    }))
     paths = {
         "program": str(program),
         "missing": str(tmp_path / "missing.json"),
@@ -301,6 +308,7 @@ def test_bad_values_and_files_are_one_line_errors(tmp_path, capsys, argv, named)
         "nodir": str(tmp_path / "no-such-dir" / "out.json"),
         "corpus": str(tmp_path / "corpus"),
         "listed": str(tmp_path / "listed"),
+        "bogus": str(tmp_path / "bogus"),
     }
     argv = [arg.format(**paths) for arg in argv]
     code = _exit_code(argv)
@@ -334,6 +342,11 @@ def test_deeply_nested_programs_are_refused_with_a_position(
     ["serve", "--shards", "2"],
     ["serve", "--chunk-size", "4"],
     ["loadtest", "--shards", "2"],
+    # batch would read a separate "4" as a program file
+    ["batch", "--chunk-size=4"],
+    ["fuzz", "--chunk-size", "4"],
+    ["fuzz", "--no-fastpath"],
+    ["serve", "--no-fastpath"],
 ])
 def test_removed_serve_options_are_usage_errors(capsys, argv):
     from repro.cli import build_parser
