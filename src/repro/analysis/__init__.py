@@ -9,45 +9,29 @@
 * :mod:`repro.analysis.report` — combined human-readable reports.
 """
 
-from repro.analysis.metrics import ProgramMetrics, measure
-from repro.analysis.flowgraph import FlowGraph, flow_graph
-from repro.analysis.leaks import LeakWitness, find_leak
-from repro.analysis.atomicity import (
-    AtomicityReport,
-    AtomicityViolation,
-    check_atomicity,
-    shared_variables,
-)
-from repro.analysis.deadlock import DeadlockReport, DeadlockWitness, find_deadlock
-from repro.analysis.report import full_report
-from repro.analysis.timeline import context_switches, lane_summary, render_timeline
-from repro.analysis.tables import (
-    certification_table,
-    denning_report_to_dict,
-    fs_report_to_dict,
-    report_to_dict,
-)
+from repro import _lazy
 
-__all__ = [
-    "check_atomicity",
-    "shared_variables",
-    "AtomicityReport",
-    "AtomicityViolation",
-    "find_deadlock",
-    "DeadlockReport",
-    "DeadlockWitness",
-    "render_timeline",
-    "lane_summary",
-    "context_switches",
-    "certification_table",
-    "report_to_dict",
-    "denning_report_to_dict",
-    "fs_report_to_dict",
-    "ProgramMetrics",
-    "measure",
-    "FlowGraph",
-    "flow_graph",
-    "LeakWitness",
-    "find_leak",
-    "full_report",
-]
+_EXPORTS = {
+    "atomicity": (
+        "check_atomicity",
+        "shared_variables",
+        "AtomicityReport",
+        "AtomicityViolation",
+    ),
+    "deadlock": ("find_deadlock", "DeadlockReport", "DeadlockWitness"),
+    "timeline": ("render_timeline", "lane_summary", "context_switches"),
+    "tables": (
+        "certification_table",
+        "report_to_dict",
+        "denning_report_to_dict",
+        "fs_report_to_dict",
+    ),
+    "metrics": ("ProgramMetrics", "measure"),
+    "flowgraph": ("FlowGraph", "flow_graph"),
+    "leaks": ("LeakWitness", "find_leak"),
+    "report": ("full_report",),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = _lazy(globals(), _EXPORTS)

@@ -13,7 +13,10 @@ scheme; ``unclassified``..``topsecret`` for ``four-level``).
 
 Each subcommand is one ``_cmd_<name>`` handler that its parser names
 with ``set_defaults(handler=...)``; each option that several
-subcommands take is defined once, by an ``_add_*`` helper.
+subcommands take is defined once, by an ``_add_*`` helper.  Each
+handler imports the engines it runs, so a command loads only what it
+uses; this module imports only what argument parsing and
+:func:`_load_program` need.
 """
 
 from __future__ import annotations
@@ -24,23 +27,11 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-from repro.analysis.report import full_report
-from repro.core.binding import StaticBinding
-from repro.core.cfm import certify
-from repro.core.denning import certify_denning
-from repro.core.inference import infer_binding
 from repro.errors import ReproError
 from repro.lang.ast import Program, used_variables
 from repro.lang.parser import parse_program, read_source
 from repro.lang.validate import validate_program
 from repro.lattice import SCHEMES, parse_scheme
-from repro.logic.checker import check_proof
-from repro.logic.extract import is_completely_invariant
-from repro.logic.generator import generate_proof
-from repro.logic.render import render_proof
-from repro.runtime.executor import run as run_program
-from repro.runtime.explorer import explore
-from repro.runtime.scheduler import RandomScheduler, RoundRobinScheduler
 
 
 class _UsageError(ReproError):
@@ -153,7 +144,10 @@ def _classes(args) -> Dict[str, str]:
     return classes
 
 
-def _binding(args, program: Program) -> StaticBinding:
+def _binding(args, program: Program):
+    """The static binding given by the binding flags."""
+    from repro.core.binding import StaticBinding
+
     scheme = _scheme(args)
     classes = _classes(args)
     binding = StaticBinding(scheme, classes, default=args.default)
@@ -776,6 +770,8 @@ def _cmd_lint(args) -> int:
     binding = None
     scheme = None
     if args.bind or args.bindings or args.default:
+        from repro.core.binding import StaticBinding
+
         scheme = _scheme(args)
         binding = StaticBinding(scheme, _classes(args), default=args.default)
     elif args.scheme_file or args.scheme != "two-level":
@@ -845,10 +841,10 @@ def _cmd_batch(args) -> int:
     """The parallel certification pipeline."""
     from repro.observe import NULL_EMITTER, JsonlEmitter, MetricsAggregator
     from repro.pipeline import ANALYSES, analysis_names, run_pipeline
-    from repro.workloads.suites import corpus as load_corpus
-    from repro.workloads.suites import corpus_names
 
     if args.list_corpora:
+        from repro.workloads.suites import corpus_names
+
         for name in corpus_names():
             print(name)
         return 0
@@ -864,11 +860,14 @@ def _cmd_batch(args) -> int:
     corpus = []
     for path in args.programs:
         corpus.append((os.path.basename(path), _load_program(path)))
-    for name in args.corpus or ():
-        try:
-            corpus.extend(load_corpus(name))
-        except KeyError as exc:
-            raise SystemExit(f"error: {exc.args[0]}")
+    if args.corpus:
+        from repro.workloads.suites import corpus as load_corpus
+
+        for name in args.corpus:
+            try:
+                corpus.extend(load_corpus(name))
+            except KeyError as exc:
+                raise SystemExit(f"error: {exc.args[0]}")
     if not corpus:
         raise SystemExit(
             "error: batch needs PROGRAM files and/or --corpus NAME "
@@ -1109,6 +1108,8 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from repro.core.cfm import certify
+
     program = _load_program(args.program)
     report = certify(program, _binding(args, program))
     if args.json:
@@ -1129,6 +1130,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_denning(args) -> int:
+    from repro.core.denning import certify_denning
+
     program = _load_program(args.program)
     report = certify_denning(
         program, _binding(args, program), on_concurrency=args.on_concurrency
@@ -1147,6 +1150,8 @@ def _cmd_fs_certify(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    from repro.core.inference import infer_binding
+
     program = _load_program(args.program)
     scheme = _scheme(args)
     result = infer_binding(program, scheme, _classes(args))
@@ -1202,6 +1207,9 @@ def _cmd_leak(args) -> int:
 
 def _cmd_prove(args) -> int:
     from repro.lang.procs import resolve_subject
+    from repro.logic.checker import check_proof
+    from repro.logic.extract import is_completely_invariant
+    from repro.logic.generator import generate_proof
 
     program = _load_program(args.program)
     binding = _binding(args, program)
@@ -1219,12 +1227,15 @@ def _cmd_prove(args) -> int:
         _write(args.save_cert, json.dumps(dump_proof(proof, program), indent=2))
         print(f"certificate written to {args.save_cert}")
     if args.render:
+        from repro.logic.render import render_proof
+
         print(render_proof(proof))
     return 0 if checked.ok else 1
 
 
 def _cmd_check_cert(args) -> int:
     from repro.lang.procs import resolve_subject
+    from repro.logic.checker import check_proof
     from repro.logic.serialize import load_proof
 
     program, _ = resolve_subject(_load_program(args.program))
@@ -1241,6 +1252,9 @@ def _cmd_check_cert(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.runtime.executor import run as run_program
+    from repro.runtime.scheduler import RandomScheduler, RoundRobinScheduler
+
     program = _load_program(args.program)
     scheduler = RandomScheduler(args.seed) if args.seed is not None else RoundRobinScheduler()
     result = run_program(
@@ -1264,6 +1278,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    from repro.runtime.explorer import explore
+
     program = _load_program(args.program)
     result = explore(program, store=_store(args), budget=_budget(args), por=args.por)
     print(
@@ -1281,6 +1297,8 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from repro.analysis.report import full_report
+
     program = _load_program(args.program)
     print(
         full_report(

@@ -11,35 +11,18 @@
 * :mod:`repro.core.inference` — least-binding inference over that graph.
 """
 
-from repro.core.binding import StaticBinding
-from repro.core.cfm import CertificationReport, CFMAnalysis, Check, certify
-from repro.core.constraints import ConstraintGraph, build_constraint_graph
-from repro.core.denning import DenningReport, certify_denning
-from repro.core.flowsensitive import (
-    FSReport,
-    FSState,
-    analyze,
-    certify_flow_sensitive,
-)
-from repro.core.inference import InferenceResult, infer_binding
-from repro.core.policy import InformationState, PolicySpec
+from repro import _lazy
 
-__all__ = [
-    "StaticBinding",
-    "certify",
-    "CertificationReport",
-    "CFMAnalysis",
-    "Check",
-    "certify_denning",
-    "DenningReport",
-    "certify_flow_sensitive",
-    "analyze",
-    "FSReport",
-    "FSState",
-    "ConstraintGraph",
-    "build_constraint_graph",
-    "infer_binding",
-    "InferenceResult",
-    "InformationState",
-    "PolicySpec",
-]
+_EXPORTS = {
+    "binding": ("StaticBinding",),
+    "cfm": ("certify", "CertificationReport", "CFMAnalysis", "Check"),
+    "denning": ("certify_denning", "DenningReport"),
+    "flowsensitive": ("certify_flow_sensitive", "analyze", "FSReport", "FSState"),
+    "constraints": ("ConstraintGraph", "build_constraint_graph"),
+    "inference": ("infer_binding", "InferenceResult"),
+    "policy": ("InformationState", "PolicySpec"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = _lazy(globals(), _EXPORTS)

@@ -30,6 +30,7 @@ from repro.lang.ast import (
     Wait,
     iter_nodes,
 )
+from repro.lang.procs import Call, validate_procedures
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,6 @@ class Problem:
 def validate_program(program: Program) -> List[Problem]:
     """Return all validation problems of ``program`` (empty list = valid)."""
     problems: List[Problem] = []
-    from repro.lang.procs import validate_procedures
-
     for message in validate_procedures(program):
         problems.append(Problem(message, program.loc))
     kinds: Dict[str, str] = {}
@@ -96,18 +95,15 @@ def validate_program(program: Program) -> List[Problem]:
                         node.loc,
                     )
                 )
-        else:
-            from repro.lang.procs import Call
-
-            if isinstance(node, Call):
-                for name in node.out_args:
-                    if kind_of(name, node) == "semaphore":
-                        problems.append(
-                            Problem(
-                                f"semaphore {name!r} cannot be an out-argument",
-                                node.loc,
-                            )
+        elif isinstance(node, Call):
+            for name in node.out_args:
+                if kind_of(name, node) == "semaphore":
+                    problems.append(
+                        Problem(
+                            f"semaphore {name!r} cannot be an out-argument",
+                            node.loc,
                         )
+                    )
     return problems
 
 

@@ -14,36 +14,19 @@ is one such atomic action.  On top of the machine sit:
 * a possibilistic noninterference tester.
 """
 
-from repro.runtime.eval import evaluate
-from repro.runtime.machine import Event, Machine, Process
-from repro.runtime.scheduler import (
-    FixedScheduler,
-    RandomScheduler,
-    RoundRobinScheduler,
-)
-from repro.runtime.executor import ExecutionResult, run
-from repro.runtime.taint import TaintMonitor
-from repro.runtime.enforce import BlockedAction, EnforcingMonitor, SecurityViolation
-from repro.runtime.explorer import ExplorationResult, Outcome, explore
-from repro.runtime.noninterference import NIResult, check_noninterference
+from repro import _lazy
 
-__all__ = [
-    "evaluate",
-    "Machine",
-    "Process",
-    "Event",
-    "RoundRobinScheduler",
-    "RandomScheduler",
-    "FixedScheduler",
-    "run",
-    "ExecutionResult",
-    "TaintMonitor",
-    "EnforcingMonitor",
-    "SecurityViolation",
-    "BlockedAction",
-    "explore",
-    "ExplorationResult",
-    "Outcome",
-    "check_noninterference",
-    "NIResult",
-]
+_EXPORTS = {
+    "eval": ("evaluate",),
+    "machine": ("Machine", "Process", "Event"),
+    "scheduler": ("RoundRobinScheduler", "RandomScheduler", "FixedScheduler"),
+    "executor": ("run", "ExecutionResult"),
+    "taint": ("TaintMonitor",),
+    "enforce": ("EnforcingMonitor", "SecurityViolation", "BlockedAction"),
+    "explorer": ("explore", "ExplorationResult", "Outcome"),
+    "noninterference": ("check_noninterference", "NIResult"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = _lazy(globals(), _EXPORTS)
