@@ -37,7 +37,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.errors import LoadError
+from repro.errors import LanguageError, LoadError
 from repro.fuzz.oracles import ORACLES, OracleSkip
 from repro.lang.parser import parse_subject, read_source
 
@@ -154,10 +154,20 @@ def replay_corpus(
     directory: Union[str, Path],
     config: Optional[Dict[str, object]] = None,
 ) -> List[dict]:
-    """Replay every finding in ``directory``; one result per record."""
+    """Replay every finding in ``directory``; one result per record.
+
+    A record that cannot be replayed (an unknown kind or oracle, a bad
+    config, an unparsable source) raises its error prefixed with the
+    record's path, as :func:`load_findings` does for a corrupt file.
+    """
     results = []
     for record in load_findings(directory):
-        result = replay_finding(record, config=config)
+        try:
+            result = replay_finding(record, config=config)
+        except ValueError as exc:
+            raise ValueError(f"{record['path']}: {exc}") from None
+        except LanguageError as exc:
+            raise LanguageError(f"{record['path']}: {exc}") from None
         result["path"] = record["path"]
         results.append(result)
     return results

@@ -282,13 +282,18 @@ def test_bad_counts_and_unreadable_files_are_usage_errors(
     (["fuzz", "--replay", "{missing}"], "cannot read {missing}"),
     (["fuzz", "--replay", "{corpus}"], "{corpus}/garbled.json is not JSON"),
     (["fuzz", "--replay", "{listed}"], "{listed}/list.json has schema None"),
-    (["fuzz", "--replay", "{bogus}"], "unknown subject kind 'bogus'"),
+    (["fuzz", "--replay", "{bogus}"],
+     "{bogus}/finding.json: unknown subject kind 'bogus'"),
+    (["fuzz", "--replay", "{unparsable}"],
+     "{unparsable}/finding.json: 1:23: expected an expression, "
+     "found end of input"),
 ])
 def test_bad_values_and_files_are_one_line_errors(tmp_path, capsys, argv, named):
     """Regression: each of these died with a traceback and exit 1, and
     ``fuzz --replay`` of a missing directory replayed nothing and
     passed (exit 0), as did a finding of an unknown kind, which
-    replayed as a statement."""
+    replayed as a statement.  A finding that cannot be replayed is
+    named by its file."""
     program = tmp_path / "p.rl"
     program.write_text("var x, y : integer; begin x := 1; y := x end")
     (tmp_path / "garbled.json").write_text("{not json")
@@ -301,6 +306,11 @@ def test_bad_values_and_files_are_one_line_errors(tmp_path, capsys, argv, named)
         "schema": "repro-fuzz-finding/1", "oracle": "parse-pretty",
         "kind": "bogus", "source": "x := 1",
     }))
+    (tmp_path / "unparsable").mkdir()
+    (tmp_path / "unparsable" / "finding.json").write_text(json.dumps({
+        "schema": "repro-fuzz-finding/1", "oracle": "parse-pretty",
+        "kind": "program", "source": "var x : integer; x := ",
+    }))
     paths = {
         "program": str(program),
         "missing": str(tmp_path / "missing.json"),
@@ -309,6 +319,7 @@ def test_bad_values_and_files_are_one_line_errors(tmp_path, capsys, argv, named)
         "corpus": str(tmp_path / "corpus"),
         "listed": str(tmp_path / "listed"),
         "bogus": str(tmp_path / "bogus"),
+        "unparsable": str(tmp_path / "unparsable"),
     }
     argv = [arg.format(**paths) for arg in argv]
     code = _exit_code(argv)
