@@ -7,8 +7,9 @@ semaphore primitives ``wait``/``signal``.  We additionally support
 ``skip``, an optional ``else`` branch, ``var`` declaration blocks with
 ``integer`` and ``semaphore initially(n)`` types, and ``--`` comments.
 
-The package provides the lexer, a recursive-descent parser producing a
-typed AST, a pretty-printer (the parser and printer round-trip), a
+The package provides the lexer, a parser producing a typed AST
+(recursive descent for statements, precedence climbing for
+expressions), a pretty-printer (the parser and printer round-trip), a
 programmatic builder DSL, and a static validator.
 """
 

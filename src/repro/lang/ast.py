@@ -73,6 +73,8 @@ ARITH_OPS = ("+", "-", "*", "/", "mod")
 REL_OPS = ("=", "#", "<", "<=", ">", ">=")
 #: Boolean connectives.
 BOOL_OPS = ("and", "or")
+#: Every binary operator, for :class:`BinOp`'s check.
+_BINARY_OPS = frozenset(ARITH_OPS + REL_OPS + BOOL_OPS)
 
 
 class Expr(Node):
@@ -122,7 +124,7 @@ class BinOp(Expr):
 
     def __init__(self, op: str, left: Expr, right: Expr, loc: Optional[Loc] = None):
         super().__init__(loc)
-        if op not in ARITH_OPS + REL_OPS + BOOL_OPS:
+        if op not in _BINARY_OPS:
             raise ValueError(f"unknown binary operator {op!r}")
         self.op = op
         self.left = left

@@ -100,6 +100,19 @@ class Call(Stmt):
 
 def validate_procedures(program: Program) -> List[str]:
     """Procedure-specific well-formedness problems (empty list = fine)."""
+    calls = []
+    # a call is a statement and never sits inside an expression
+    stack = [program.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Call):
+            calls.append(node)
+        stack.extend(c for c in reversed(node.children()) if isinstance(c, Stmt))
+    return procedure_problems(program, calls)
+
+
+def procedure_problems(program: Program, calls: Sequence[Call]) -> List[str]:
+    """:func:`validate_procedures`, given the calls in ``program.body``, preorder."""
     problems: List[str] = []
     table: Dict[str, ProcDecl] = {}
     for proc in getattr(program, "procs", []):
@@ -142,13 +155,12 @@ def validate_procedures(program: Program) -> List[str]:
             )
         table[proc.name] = proc
 
-    for node in iter_statements(program.body):
-        if isinstance(node, Call):
-            if node.name not in table:
-                problems.append(f"call to undeclared procedure {node.name!r}")
-            else:
-                declared = set(program.declared())
-                problems.extend(_check_call(node, table[node.name], declared))
+    for node in calls:
+        if node.name not in table:
+            problems.append(f"call to undeclared procedure {node.name!r}")
+        else:
+            declared = set(program.declared())
+            problems.extend(_check_call(node, table[node.name], declared))
     return problems
 
 

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import pickle
 import threading
 import time
@@ -490,6 +491,27 @@ def _warm_worker() -> bool:
     return True
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker once process ``parent`` is gone.
+
+    A parent killed outright (SIGKILL) never shuts its pool down, and
+    its workers would sleep on, reparented, for good.  A daemon thread
+    polls once a second for a new parent pid.  It never raises: a
+    failing initializer would break the pool, and a worker without the
+    thread still works.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    try:
+        threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+    except RuntimeError:  # pragma: no cover - "can't start new thread"
+        pass
+
+
 class WorkerPool:
     """A persistent, crash-isolated process pool for pipeline tasks.
 
@@ -502,7 +524,9 @@ class WorkerPool:
     killing its worker is abandoned with a ``WorkerCrash`` record
     after :data:`MAX_TASK_ATTEMPTS` attempts, and a retried
     deadline-carrying task only gets the *remaining* wall-clock budget
-    (see :func:`_reprice_deadline`).  Both the batch pipeline and the
+    (see :func:`_reprice_deadline`).  A worker whose parent dies
+    without closing the pool exits on its own (see
+    :func:`_exit_with_parent`).  Both the batch pipeline and the
     fuzz driver dispatch through :meth:`run`, which names each cell by
     its ``(program, analysis)`` label.
 
@@ -531,7 +555,10 @@ class WorkerPool:
                 raise RuntimeError("WorkerPool is closed")
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
-                    max_workers=self.jobs, mp_context=self._ctx
+                    max_workers=self.jobs,
+                    mp_context=self._ctx,
+                    initializer=_exit_with_parent,
+                    initargs=(os.getpid(),),
                 )
                 observer.event("pool_start", workers=self.jobs)
             return self._executor

@@ -9,16 +9,19 @@ never a second result format.  The front line degrades predictably:
 a bounded admission gauge and per-tenant token buckets turn overload
 into cheap 429s (with ``Retry-After``).
 ``repro loadtest`` (:mod:`repro.service.loadtest`) measures all of it
-against a live spawned server.  See ``docs/service.md``.
+against a live spawned server.  See ``docs/service.md``.  Its names
+resolve on first use, so ``repro serve`` never loads it.
 """
 
+from repro import _lazy
 from repro.service.app import (
     DEFAULT_ANALYSES,
     AnalysisService,
     ServiceError,
 )
 from repro.service.httpd import AnalysisServer, serve
-from repro.service.loadtest import LoadtestOptions, run_loadtest
+
+_EXPORTS = {"loadtest": ("LoadtestOptions", "run_loadtest")}
 
 __all__ = [
     "DEFAULT_ANALYSES",
@@ -29,3 +32,5 @@ __all__ = [
     "run_loadtest",
     "serve",
 ]
+
+__getattr__, __dir__ = _lazy(globals(), _EXPORTS)

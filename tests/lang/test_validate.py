@@ -82,3 +82,29 @@ def test_figure3_is_valid():
 def test_problem_str_has_location():
     probs = validate_program(parse_program("var x : integer;\ny := 1"))
     assert str(probs[0]).startswith("2:")
+
+
+def test_full_problem_list_keeps_its_order():
+    """Procedure problems first, then declarations, then the body in preorder."""
+    source = (
+        "proc p(in a; out b) b := a;\n"
+        "proc p(in a; out b) b := a + 1;\n"
+        "var x : integer; s : semaphore;\n"
+        "begin\n"
+        "  call q(x; x);\n"
+        "  y := x;\n"
+        "  s := 1;\n"
+        "  x := s + y;\n"
+        "  call p(x, 1; s)\n"
+        "end\n"
+    )
+    assert problems_of(source) == [
+        "1:1: procedure 'p' declared twice",
+        "1:1: call to undeclared procedure 'q'",
+        "1:1: call to 'p' passes 2 in-arguments, expected 1",
+        "6:3: variable 'y' is not declared",
+        "7:3: semaphore 's' may only be changed by wait/signal, not assignment",
+        "8:8: semaphore 's' cannot be read in an expression",
+        "8:12: variable 'y' is not declared",
+        "9:3: semaphore 's' cannot be an out-argument",
+    ]

@@ -2,9 +2,10 @@
 
 A command pays at start-up for every module it loads, whether it runs
 it or not.  ``repro``, ``repro.core``, ``repro.runtime`` and
-``repro.analysis`` resolve their re-exported names on first use, and
-each CLI handler imports its own engine, so these checks pin what the
-common paths load.  Each runs in a fresh interpreter, because this
+``repro.analysis`` resolve their re-exported names on first use, as
+``repro.service`` resolves its ``loadtest`` names, and each CLI
+handler imports its own engine, so these checks pin what the common
+paths load.  Each runs in a fresh interpreter, because this
 process has long since imported everything.
 """
 
@@ -39,7 +40,9 @@ REPORT = (
     "if m == 'repro' or m.startswith('repro.'))))\n"
 )
 
-LAZY_PACKAGES = ("repro", "repro.core", "repro.runtime", "repro.analysis")
+LAZY_PACKAGES = (
+    "repro", "repro.core", "repro.runtime", "repro.analysis", "repro.service",
+)
 
 
 def _last_json(code: str, cwd: Path) -> object:
@@ -98,6 +101,7 @@ def test_serve_start_loads_no_analysis(tmp_path):
     assert "repro.service.app" in held
     assert _under(held, UNUSED) == _under(held, ["repro.service"])
     assert "repro.fastpath" not in held
+    assert "repro.service.loadtest" not in held
 
 
 def test_a_served_request_imports_nothing_in_the_parent(tmp_path):
