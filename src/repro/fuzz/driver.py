@@ -235,15 +235,16 @@ def run_fuzz(
 
     ``seeds`` consecutive seeds starting at ``seed_start`` each
     produce one subject per generation profile; ``oracles`` restricts
-    the registry (default: all).  ``config`` overlays
-    :data:`FUZZ_CONFIG` (:func:`repro.pipeline.analyses.merge_config`);
-    its ``deadline`` (seconds) bounds each oracle's exploration
-    wall-clock.  With ``corpus_dir`` every minimized finding is
-    persisted for replay.  ``jobs > 1`` fans two or more seeds over a
-    :class:`WorkerPool` (a caller-owned ``pool`` runs every campaign).
+    the registry (default: all; a repeated name counts once).
+    ``config`` overlays :data:`FUZZ_CONFIG`
+    (:func:`repro.pipeline.analyses.merge_config`); its ``deadline``
+    (seconds) bounds each oracle's exploration wall-clock.  With
+    ``corpus_dir`` every minimized finding is persisted for replay.
+    ``jobs > 1`` fans two or more seeds over a :class:`WorkerPool` (a
+    caller-owned ``pool`` runs every campaign).
     """
     started = time.perf_counter()
-    names = tuple(oracles) if oracles is not None else tuple(sorted(ORACLES))
+    names = tuple(sorted(ORACLES) if oracles is None else dict.fromkeys(oracles))
     for name in names:
         if name not in ORACLES:
             raise ValueError(

@@ -67,7 +67,7 @@ from repro.lang.ast import (
     While,
     used_variables,
 )
-from repro.pipeline.analyses import _binding
+from repro.pipeline.analyses import _binding, _budget
 
 Subject = Union[Program, Stmt]
 
@@ -99,17 +99,6 @@ class OracleSpec:
     paper: str
     profiles: Tuple[str, ...]
     check: Callable[[Subject, dict], Optional[object]]
-
-
-def _budget(config: dict):
-    from repro.observe.budget import Budget
-
-    deadline = config.get("deadline")
-    return Budget(
-        max_states=int(config["max_states"]),
-        max_depth=int(config["max_depth"]),
-        deadline=float(deadline) if deadline is not None else None,
-    )
 
 
 def _value_blowup_risk(subject: Subject) -> bool:

@@ -24,8 +24,8 @@ behind ``repro batch --metrics out.json``:
     process boundary — the overhead the chunking granularity exists
     to amortize (see ``docs/pipeline.md``);
 ``spans``
-    the retained top-level span records (most importantly the ``run``
-    span emitted at the end of every pipeline run); per-cell ``task``
+    the retained top-level span records, oldest first (above all the
+    ``run`` span that ends every pipeline run); per-cell ``task``
     spans are not duplicated here — they live in ``items``;
 ``cache``
     the content-addressed cache counters (hits / misses / writes /
@@ -37,9 +37,11 @@ behind ``repro batch --metrics out.json``:
     per-analysis totals: tasks, wall seconds (total and max), and for
     the explorer the summed states / transitions / POR-reduced states;
 ``items``
-    one record per (program, analysis) cell: status (``ok`` /
-    ``cached`` / ``degraded`` / ``error``), seconds (``None`` for
-    cache hits), and the limit or error type where applicable;
+    one record per (program, analysis) cell, in record order (a
+    pipeline run records its cells by program, then analysis name):
+    status (``ok`` / ``cached`` / ``degraded`` / ``error``), seconds
+    (``None`` for cache hits), and the limit or error type where
+    applicable;
 ``service`` (optional)
     present in documents served by a resident ``repro serve`` process:
     request totals, the in-flight and waiting gauges, the retired
@@ -62,7 +64,8 @@ degraded-mode smoke job run against emitted documents.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Deque, Dict, List, Optional
 
 from repro.observe.trace import NULL_EMITTER, TraceEmitter
 
@@ -86,6 +89,8 @@ class MetricsAggregator(TraceEmitter):
 
     The aggregator is itself a :class:`TraceEmitter`, so producers emit
     once and both the trace file and the metrics document see the run.
+    Item and span records are kept in arrival order, the order the
+    document prints them; ``max_items`` keeps the newest of each.
     """
 
     def __init__(
@@ -94,14 +99,13 @@ class MetricsAggregator(TraceEmitter):
         max_items: Optional[int] = None,
     ):
         self.sink = sink
-        #: The retained per-cell records.  When ``max_items`` bounds the
-        #: list (a long-running service must not grow without bound),
-        #: only the newest records are kept — the ``run`` and
-        #: ``analyses`` aggregates stay exact and cumulative because
-        #: they are maintained incrementally, never recomputed from
-        #: ``items``.
-        self.items: List[Dict[str, object]] = []
-        self.max_items = max_items
+        #: The retained per-cell records, in the order they were
+        #: recorded.  When ``max_items`` bounds the deque (a
+        #: long-running service must not grow without bound), only the
+        #: newest records are kept — the ``run`` and ``analyses``
+        #: aggregates stay exact and cumulative because they are
+        #: maintained incrementally, never recomputed from ``items``.
+        self.items: Deque[Dict[str, object]] = deque(maxlen=max_items)
         self.workers: Dict[str, int] = {
             name: 0 for name in _WORKER_EVENTS.values()
         }
@@ -113,7 +117,7 @@ class MetricsAggregator(TraceEmitter):
         #: Retained span records (bounded by ``max_items`` like
         #: :attr:`items`); per-cell ``task`` spans go straight to the
         #: sink from :meth:`item` and are deliberately not kept here.
-        self.spans: List[Dict[str, object]] = []
+        self.spans: Deque[Dict[str, object]] = deque(maxlen=max_items)
         #: One count per cache read's own outcome (a corrupt entry is
         #: also a miss) and per write that landed.
         self.cache: Dict[str, int] = {
@@ -140,8 +144,6 @@ class MetricsAggregator(TraceEmitter):
         elif record.get("type") == "span":
             with self._lock:
                 self.spans.append(dict(record))
-                if self.max_items is not None and len(self.spans) > self.max_items:
-                    del self.spans[: len(self.spans) - self.max_items]
         self.sink.emit(record)
 
     def chunk(self, cells: int, bytes_pickled: int) -> None:
@@ -186,8 +188,6 @@ class MetricsAggregator(TraceEmitter):
             entry["explore"] = dict(explore)
         with self._lock:
             self.items.append(entry)
-            if self.max_items is not None and len(self.items) > self.max_items:
-                del self.items[: len(self.items) - self.max_items]
             self._by_status[status] += 1
             if error_type == "WorkerCrash":
                 self._abandoned += 1
@@ -248,23 +248,24 @@ class MetricsAggregator(TraceEmitter):
         """Render the metrics document (see the module docstring).
 
         The ``run`` and ``analyses`` aggregates are cumulative over the
-        aggregator's whole lifetime even when ``max_items`` has trimmed
+        aggregator's whole lifetime even when ``max_items`` has dropped
         older per-cell records out of ``items``.  ``service`` (counters
         from a resident ``repro serve`` process — requests, in-flight,
         LRU hits/misses, pool) is included verbatim when given, as
         is ``fuzz`` (the differential-fuzzing campaign counters).
+
+        The document is read-only: its ``items`` and ``spans`` lists
+        hold the aggregator's own records, not copies.
         """
         with self._lock:
-            items = sorted(
-                self.items, key=lambda e: (e["program"], e["analysis"])
-            )
+            items = list(self.items)
             by_status = dict(self._by_status)
             analyses = {
                 name: dict(agg) for name, agg in self._analyses.items()
             }
             workers = dict(self.workers)
             chunks = dict(self.chunks)
-            spans = [dict(span) for span in self.spans]
+            spans = list(self.spans)
             cache = dict(self.cache, skipped_degraded=self.skipped_degraded)
             abandoned = self._abandoned
         tasks = sum(by_status.values())

@@ -246,17 +246,22 @@ def _run_lint(subject: Subject, config: dict) -> dict:
     }
 
 
-def _run_explore(subject: Subject, config: dict) -> dict:
+def _budget(config: dict):
+    """The explorer's :class:`repro.observe.Budget` from ``config``."""
     from repro.observe.budget import Budget
-    from repro.runtime.explorer import explore
 
     deadline = config.get("deadline")
-    budget = Budget(
+    return Budget(
         max_states=int(config["max_states"]),
         max_depth=int(config["max_depth"]),
         deadline=float(deadline) if deadline is not None else None,
     )
-    result = explore(subject, budget=budget, por=bool(config["por"]))
+
+
+def _run_explore(subject: Subject, config: dict) -> dict:
+    from repro.runtime.explorer import explore
+
+    result = explore(subject, budget=_budget(config), por=bool(config["por"]))
     return {
         "complete": result.complete,
         "degraded": result.degraded,

@@ -241,8 +241,8 @@ class TieredCache:
     concerned (``lookup``/``put``): reads try memory first and promote
     disk hits; writes land in both tiers.  Like the disk store it keeps
     no combined counters (a memory hit is still a cache hit, which the
-    run's metrics count); the memory tier's own counters live in
-    :meth:`lru_stats`.
+    run's metrics count); the memory tier keeps its own counters
+    (:meth:`MemoryLRU.to_dict` on :attr:`lru`).
     """
 
     def __init__(self, disk: Optional[ResultCache], lru: Optional[MemoryLRU] = None):
@@ -273,7 +273,3 @@ class TieredCache:
         if self.disk is not None:
             return self.disk.put(key, analysis, result)
         return self.lru.capacity > 0
-
-    def lru_stats(self) -> Dict[str, int]:
-        """The memory tier's own counters (see :class:`MemoryLRU`)."""
-        return self.lru.to_dict()

@@ -304,8 +304,11 @@ def run_pipeline(
     """Run ``analyses`` over every program in ``corpus``.
 
     ``corpus`` is a sequence of ``(name, Program-or-Stmt)`` pairs with
-    unique names.  ``jobs > 1`` fans cache misses out over a process
-    pool; ``cache_dir`` (with ``use_cache=True``) enables the on-disk
+    unique names.  ``analyses`` is made canonical once, as the sorted
+    tuple of its distinct names: cells run and are recorded by program
+    name, then analysis name, the order both documents print.
+    ``jobs > 1`` fans cache misses out over a process pool;
+    ``cache_dir`` (with ``use_cache=True``) enables the on-disk
     content-addressed cache.  ``config`` overlays
     :data:`repro.pipeline.analyses.DEFAULT_CONFIG` in canonical form
     (:func:`repro.pipeline.analyses.merge_config`); unknown keys and
@@ -347,7 +350,7 @@ def run_pipeline(
     merged = merge_config(DEFAULT_CONFIG, config)
 
     entries = _canonical_corpus(corpus)
-    analyses = tuple(analyses)
+    analyses = tuple(sorted(set(analyses)))
     if cache is None:
         cache = ResultCache(cache_dir) if (cache_dir and use_cache) else None
 
@@ -426,7 +429,7 @@ def run_pipeline(
         {
             "name": name,
             "kind": kind,
-            "analyses": {a: results[(index, a)] for a in sorted(analyses)},
+            "analyses": {a: results[(index, a)] for a in analyses},
         }
         for index, (name, source, kind) in enumerate(entries)
     ]
@@ -437,7 +440,7 @@ def run_pipeline(
     metrics = observer.to_dict(
         elapsed_seconds=elapsed, jobs=jobs, deadline=merged["deadline"]
     )
-    return PipelineResult(programs, tuple(sorted(analyses)), merged, metrics)
+    return PipelineResult(programs, analyses, merged, metrics)
 
 
 def _pool_context():

@@ -329,7 +329,6 @@ class AnalysisService:
                 jobs=self.jobs,
                 config=config,
                 cache=self.cache,
-                use_cache=self.cache is not None,
                 pool=self.pool,
                 observer=self.observer,
             )
@@ -485,7 +484,7 @@ class AnalysisService:
         All but ``pool``, which :meth:`metrics_document` adds from the
         run ledger.
         """
-        lru = self.cache.lru_stats() if self.cache is not None else None
+        lru = self.cache.lru.to_dict() if self.cache is not None else None
         with self._lock:
             counters: Dict[str, object] = {
                 "requests": self.requests,

@@ -54,6 +54,20 @@ def test_oracle_subset_and_seed_start():
     assert result.checks == 4  # 2 seeds x 2 profiles x 1 oracle
 
 
+def test_a_repeated_oracle_counts_once():
+    once = run_fuzz(seeds=2, oracles=("parse-pretty",))
+    twice = run_fuzz(seeds=2, oracles=("parse-pretty", "parse-pretty"))
+    assert twice.fuzz_section() == once.fuzz_section()
+    assert twice.checks == 4
+
+
+def test_campaign_items_are_listed_in_seed_order():
+    result = run_fuzz(seeds=12, oracles=("parse-pretty",), do_shrink=False)
+    assert [e["program"] for e in result.metrics["items"]] == [
+        f"seed-{seed}" for seed in range(12)
+    ]
+
+
 def test_bad_arguments_are_rejected():
     with pytest.raises(ValueError, match="unknown oracle"):
         run_fuzz(seeds=1, oracles=("bogus",))

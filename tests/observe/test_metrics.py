@@ -75,7 +75,7 @@ def test_document_shape_and_totals():
     assert explore["degraded"] == 1 and explore["errors"] == 1
     assert explore["states"] == 100
     assert explore["reduced_states"] == 4
-    # items are sorted by (program, analysis): deterministic document.
+    # items come out in the order they were recorded.
     assert [(e["program"], e["analysis"]) for e in doc["items"]] == [
         ("a", "cert"), ("a", "explore"), ("b", "cert"), ("b", "explore")
     ]
@@ -164,6 +164,23 @@ def test_span_retention_is_bounded_like_items():
     for i in range(5):
         agg.span("round", float(i))
     assert [s["seconds"] for s in agg.spans] == [3.0, 4.0]
+
+
+def test_bounded_records_render_newest_in_arrival_order():
+    """The document lists what the aggregator kept, as it arrived:
+    the newest ``max_items`` records, never re-sorted."""
+    agg = MetricsAggregator(max_items=3)
+    for program, analysis in [("d", "cert"), ("c", "lint"), ("b", "cert"),
+                              ("a", "lint"), ("a", "cert")]:
+        agg.item(program, analysis, "ok", seconds=0.1)
+    for name in ("w", "v", "u", "t"):
+        agg.span(name, 0.5)
+    doc = agg.to_dict(elapsed_seconds=1.0, jobs=1, deadline=None)
+    assert [(e["program"], e["analysis"]) for e in doc["items"]] == [
+        ("b", "cert"), ("a", "lint"), ("a", "cert")
+    ]
+    assert [s["name"] for s in doc["spans"]] == ["v", "u", "t"]
+    assert doc["run"]["tasks"] == 5  # the ledger still counts every cell
 
 
 def test_validator_requires_chunks_and_spans():

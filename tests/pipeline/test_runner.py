@@ -161,6 +161,49 @@ def test_cli_batch_repeated_high_names_are_one_policy(tmp_path, capsys):
     assert len(list(cache_dir.rglob("*.json"))) == 1
 
 
+def _cells(result):
+    return [(e["program"], e["analysis"], e["status"])
+            for e in result.metrics["items"]]
+
+
+def test_a_repeated_analysis_runs_once():
+    corpus = litmus_corpus()[:3]
+    once, twice = (
+        run_pipeline(corpus, analyses=analyses, use_cache=False)
+        for analyses in (("cert",), ("cert", "cert"))
+    )
+    assert twice.to_json() == once.to_json()
+    assert twice.metrics["run"]["tasks"] == once.metrics["run"]["tasks"] == 3
+    assert _cells(twice) == _cells(once)
+
+
+def test_cli_batch_repeated_analysis_names_are_one_analysis(tmp_path, capsys):
+    program = tmp_path / "p.rl"
+    program.write_text("var h, l : integer; l := h")
+    documents = []
+    for analyses in ("cert,cert", "cert"):
+        assert main(
+            ["batch", str(program), "--analyses", analyses, "--no-cache",
+             "--json"]
+        ) == 0
+        documents.append(capsys.readouterr().out)
+    assert documents[0] == documents[1]
+
+
+def test_analysis_order_changes_neither_document_nor_ledger():
+    """Cells are recorded by (program, analysis) whatever order the
+    caller names the analyses in, so the ledger needs no sort."""
+    corpus = litmus_corpus()[:3]
+    first, second = (
+        run_pipeline(corpus, analyses=analyses, use_cache=False)
+        for analyses in (("lint", "cert"), ("cert", "lint"))
+    )
+    assert first.to_json() == second.to_json()
+    assert _cells(first) == _cells(second)
+    assert _cells(first) == sorted(_cells(first))
+    assert len(_cells(first)) == 6
+
+
 def test_analysis_failure_is_reported_not_fatal():
     """A program one analysis cannot handle yields an error entry."""
     from repro.lang.parser import parse_statement

@@ -251,6 +251,28 @@ def test_metrics_document_is_valid_and_cumulative(tmp_path):
     assert document["run"]["cached"] == 2
 
 
+def test_metrics_items_are_listed_in_the_order_requests_finished():
+    svc = AnalysisService(jobs=1, cache_dir=None, lru_capacity=0)
+    for name in ("b.rl", "a.rl"):
+        status, _ = svc.analyze_json(
+            request_body(name=name, analyses=["lint", "cert"])
+        )
+        assert status == 200
+    items = svc.metrics_document()["items"]
+    assert [(e["program"], e["analysis"]) for e in items] == [
+        ("b.rl", "cert"), ("b.rl", "lint"), ("a.rl", "cert"), ("a.rl", "lint")
+    ]
+
+
+def test_a_repeated_analysis_is_served_once():
+    svc = AnalysisService(jobs=1, cache_dir=None, lru_capacity=0)
+    status, twice = svc.analyze_json(request_body(analyses=["cert", "cert"]))
+    assert status == 200
+    status, once = svc.analyze_json(request_body(analyses=["cert"]))
+    assert (status, twice) == (200, once)
+    assert svc.metrics_document()["run"]["tasks"] == 2
+
+
 def test_health_document_reflects_draining():
     svc = AnalysisService(jobs=1, cache_dir=None, lru_capacity=0)
     status, document = svc.health_document()
