@@ -23,7 +23,6 @@ a miss and recomputed — corruption can cost time, never correctness.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import os
@@ -51,6 +50,18 @@ def _reject_non_json(value: object) -> object:
         "require plain JSON config values (normalize sets and custom "
         "objects before keying)"
     )
+
+
+def render_json(value: object) -> str:
+    """``value`` as the result document lays out JSON: ``indent=2``, sorted keys.
+
+    The one renderer of a cell's text: :meth:`MemoryLRU.put` keeps its
+    output, and :meth:`repro.pipeline.PipelineResult.to_json` places it
+    in the document (or calls it for a cell that arrives without one).
+    The text is laid out as if at the top level; JSON text never holds
+    a raw newline, so indenting every line break places it deeper.
+    """
+    return json.dumps(value, indent=2, sort_keys=True)
 
 
 def cache_key(
@@ -98,6 +109,11 @@ class ResultCache:
     no counters: each ``lookup`` and ``put`` returns its own outcome,
     and ``run_pipeline`` reports it to the run's
     :class:`repro.observe.MetricsAggregator`.
+
+    ``lookup`` and ``put`` speak the cache protocol ``run_pipeline``
+    reads, which :class:`TieredCache` shares: each also hands back the
+    memory tier's text of the result, which this store, holding no
+    memory tier, gives as ``None``.
     """
 
     def __init__(self, root: str):
@@ -110,8 +126,9 @@ class ResultCache:
         """The cached result for ``key``, or ``None`` on miss/corruption."""
         return self.lookup(key)[0]
 
-    def lookup(self, key: str) -> Tuple[Optional[dict], bool]:
-        """:meth:`get`'s answer and whether *this* read found corruption.
+    def lookup(self, key: str) -> Tuple[Optional[dict], None, bool]:
+        """:meth:`get`'s answer, no text, and whether *this* read found
+        corruption.
 
         A path that cannot be read (missing, or under an unreadable or
         non-directory root) is a clean miss; only an entry that was read
@@ -122,16 +139,17 @@ class ResultCache:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except OSError:
-            return None, False
+            return None, None, False
         except ValueError:
             payload = None
         if not isinstance(payload, dict) or payload.get("key") != key \
                 or "result" not in payload:
-            return None, True
-        return payload["result"], False
+            return None, None, True
+        return payload["result"], None, False
 
-    def put(self, key: str, analysis: str, result: dict) -> bool:
-        """Atomically store ``result`` under ``key``; True if it landed.
+    def put(self, key: str, analysis: str, result: dict) -> Tuple[bool, None]:
+        """Atomically store ``result`` under ``key``: whether it landed,
+        and no text.
 
         The temp file is removed in a ``finally`` whenever the write
         did not complete — a serialization error or a failing
@@ -155,9 +173,9 @@ class ResultCache:
                 handle.write(text)
             os.replace(tmp, path)
             tmp = None  # the write landed; nothing to clean up
-            return True
+            return True, None
         except (OSError, TypeError, ValueError):
-            return False
+            return False, None
         finally:
             if tmp is not None:
                 try:
@@ -172,13 +190,22 @@ class MemoryLRU:
     The memory tier of a :class:`TieredCache`: keyed by the same
     :func:`cache_key` addresses as the on-disk store, so promoting or
     demoting an entry between tiers never changes what it means.
-    ``get`` returns a deep copy — entries are shared across service
-    requests and threads, and a caller mutating its result document
-    must not corrupt every later hit.
+
+    Each entry is kept as its result's text, :func:`render_json`, made
+    once when it is stored, not as a dict.  A hit decodes that text, so
+    every caller gets a fresh object: entries are shared across service
+    requests and threads, yet no caller can corrupt a later hit by
+    mutating its result, and no writer's later mutation reaches the
+    tier.  :meth:`lookup` also hands back the text, which
+    :meth:`repro.pipeline.PipelineResult.to_json` places in the document
+    as it is.  Encoding and decoding run outside the tier's lock; the
+    lock guards only the entry map and the counters.
 
     ``capacity`` bounds the entry count (the results this repo caches
     are small JSON documents; an entry cap is predictable where a byte
-    cap would be guesswork).  ``capacity=0`` disables the tier.
+    cap would be guesswork).  ``text_bytes``, the summed length of the
+    texts held, shows what that bound costs.  ``capacity=0`` disables
+    the tier.
     """
 
     def __init__(self, capacity: int = 4096):
@@ -188,42 +215,63 @@ class MemoryLRU:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.text_bytes = 0
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, dict]" = OrderedDict()
+        self._entries: "OrderedDict[str, str]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def get(self, key: str) -> Optional[dict]:
-        """The cached result for ``key`` (a fresh copy), or ``None``."""
+        """The cached result for ``key`` (a fresh object), or ``None``."""
+        return self.lookup(key)[0]
+
+    def lookup(self, key: str) -> Tuple[Optional[dict], Optional[str]]:
+        """The cached result for ``key`` (a fresh object) and its text,
+        or ``(None, None)``."""
         with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
+            text = self._entries.get(key)
+            if text is None:
                 self.misses += 1
-                return None
+                return None, None
             self._entries.move_to_end(key)
             self.hits += 1
-            return copy.deepcopy(value)
+        return json.loads(text), text
 
-    def put(self, key: str, result: dict) -> None:
-        """Insert ``result`` under ``key``, evicting the LRU entry."""
+    def put(self, key: str, result: dict) -> Optional[str]:
+        """Insert ``result`` under ``key``, evicting the LRU entry.
+
+        Returns the text it stored.  A result :func:`render_json`
+        cannot encode is not stored and gives ``None``, as does a
+        disabled tier: the pipeline must never fail because its cache
+        did.
+        """
         if self.capacity == 0:
-            return
+            return None
+        try:
+            text = render_json(result)
+        except (TypeError, ValueError):
+            return None
         with self._lock:
-            self._entries[key] = copy.deepcopy(result)
-            self._entries.move_to_end(key)
+            replaced = self._entries.pop(key, None)
+            if replaced is not None:
+                self.text_bytes -= len(replaced)
+            self._entries[key] = text
+            self.text_bytes += len(text)
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                _, evicted = self._entries.popitem(last=False)
+                self.text_bytes -= len(evicted)
                 self.evictions += 1
+        return text
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
         with self._lock:
             self._entries.clear()
+            self.text_bytes = 0
 
     def to_dict(self) -> Dict[str, int]:
-        """JSON shape of the tier's counters."""
+        """JSON shape of the tier's counters and its ``text_bytes`` gauge."""
         with self._lock:
             return {
                 "capacity": self.capacity,
@@ -231,45 +279,51 @@ class MemoryLRU:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
+                "text_bytes": self.text_bytes,
             }
 
 
 class TieredCache:
     """A :class:`MemoryLRU` in front of an (optional) on-disk store.
 
-    Drop-in for :class:`ResultCache` where ``run_pipeline`` is
-    concerned (``lookup``/``put``): reads try memory first and promote
-    disk hits; writes land in both tiers.  Like the disk store it keeps
-    no combined counters (a memory hit is still a cache hit, which the
-    run's metrics count); the memory tier keeps its own counters
-    (:meth:`MemoryLRU.to_dict` on :attr:`lru`).
+    Speaks :class:`ResultCache`'s cache protocol, the one
+    ``run_pipeline`` reads: ``lookup`` gives ``(result, text, corrupt)``
+    and ``put`` gives ``(landed, text)``, where ``text`` is the memory
+    tier's text of the result (``None`` when the tier did not store
+    it).  Reads try memory first and promote disk hits; writes land in
+    both tiers.  Like the disk store it keeps no combined counters (a
+    memory hit is still a cache hit, which the run's metrics count);
+    the memory tier keeps its own counters (:meth:`MemoryLRU.to_dict`
+    on :attr:`lru`).
     """
 
     def __init__(self, disk: Optional[ResultCache], lru: Optional[MemoryLRU] = None):
         self.disk = disk
         self.lru = lru if lru is not None else MemoryLRU()
 
-    def lookup(self, key: str) -> Tuple[Optional[dict], bool]:
+    def lookup(self, key: str) -> Tuple[Optional[dict], Optional[str], bool]:
         """Memory first, then disk (promoting the entry on a disk hit).
 
-        Returns the result (``None`` on a miss) and whether *this* read
-        found a corrupt disk entry.
+        Returns the result (``None`` on a miss), its memory-tier text,
+        and whether *this* read found a corrupt disk entry.
         """
-        found = self.lru.get(key)
+        found, text = self.lru.lookup(key)
         if found is not None or self.disk is None:
-            return found, False
-        found, corrupt = self.disk.lookup(key)
+            return found, text, False
+        found, _, corrupt = self.disk.lookup(key)
         if found is not None:
-            self.lru.put(key, found)
-        return found, corrupt
+            text = self.lru.put(key, found)
+        return found, text, corrupt
 
-    def put(self, key: str, analysis: str, result: dict) -> bool:
-        """Store ``result`` in both tiers; True if a write landed.
+    def put(self, key: str, analysis: str, result: dict) -> Tuple[bool, Optional[str]]:
+        """Store ``result`` in both tiers: whether a write landed, and
+        the memory tier's text.
 
         With a disk tier only a durable write counts; memory-only, the
-        memory write is the write (none when the tier is disabled).
+        memory write is the write (none when the tier is disabled or
+        cannot encode the result).
         """
-        self.lru.put(key, result)
+        text = self.lru.put(key, result)
         if self.disk is not None:
-            return self.disk.put(key, analysis, result)
-        return self.lru.capacity > 0
+            return self.disk.put(key, analysis, result)[0], text
+        return text is not None, text

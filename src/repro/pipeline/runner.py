@@ -73,7 +73,7 @@ from repro.lang.parser import parse_subject
 from repro.lang.pretty import pretty
 from repro.observe import MetricsAggregator
 from repro.pipeline.analyses import ANALYSES, DEFAULT_CONFIG, merge_config
-from repro.pipeline.cache import ResultCache, cache_key
+from repro.pipeline.cache import ResultCache, cache_key, render_json
 
 Subject = Union[Program, Stmt]
 
@@ -173,14 +173,47 @@ def _auto_chunk_size(cells: int, jobs: int) -> int:
     return max(1, -(-cells // (jobs * _CHUNKS_PER_WORKER)))
 
 
+def _placed(text: str, depth: int) -> str:
+    """A value's :func:`render_json` text moved down to nesting ``depth``.
+
+    JSON text never holds a raw newline (strings escape it), so every
+    newline in ``text`` is a line break of the layout.
+    """
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _json_object(members: List[Tuple[str, str]], depth: int) -> str:
+    """An object at nesting ``depth`` from ``(key, placed text)`` members,
+    laid out as ``json.dumps(..., indent=2, sort_keys=True)`` lays it."""
+    if not members:
+        return "{}"
+    inner = "\n" + "  " * (depth + 1)
+    return "{" + ",".join(
+        inner + json.dumps(key) + ": " + text for key, text in sorted(members)
+    ) + "\n" + "  " * depth + "}"
+
+
+def _json_array(items: List[str], depth: int) -> str:
+    """An array at nesting ``depth`` from placed item texts."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + ",".join(inner + item for item in items) + "\n" + "  " * depth + "]"
+
+
 class PipelineResult:
     """Everything one ``run_pipeline`` call produced.
 
     ``programs`` is a sorted list of
-    ``{"name", "source", "analyses": {analysis: result}}`` entries;
+    ``{"name", "kind", "analyses": {analysis: result}}`` entries;
     ``metrics`` is the run record: the volatile facts (wall time, cache
     counters, worker count) in the observability document (schema in
     :mod:`repro.observe.metrics`), excluded from :meth:`to_dict`.
+    ``texts`` maps a cell, ``(index into programs, analysis)``, to its
+    result's :func:`repro.pipeline.cache.render_json` text where the
+    cache's memory tier supplied one.  :meth:`to_json` places those
+    texts as they are: mutating such a cell in ``programs`` does not
+    change the document.
     """
 
     def __init__(
@@ -189,31 +222,71 @@ class PipelineResult:
         analyses: Tuple[str, ...],
         config: Dict[str, object],
         metrics: Dict[str, object],
+        texts: Optional[Dict[Tuple[int, str], Optional[str]]] = None,
     ):
         self.programs = programs
         self.analyses = analyses
         self.config = dict(config)
         self.metrics = dict(metrics)
+        self.texts = texts if texts is not None else {}
 
-    def to_dict(self) -> dict:
-        """The deterministic result document (no timings, no counters).
+    def _echoed_config(self) -> Dict[str, object]:
+        """The config echo: every key but ``fastpath``, sorted.
 
         ``fastpath`` is an execution-strategy knob with a byte-identity
         contract (like ``jobs`` or caching, which are also not part of
         the document): toggling it must not change a single byte, so it
         is excluded from the config echo.
         """
-        echoed = {k: self.config[k] for k in sorted(self.config) if k != "fastpath"}
+        return {k: self.config[k] for k in sorted(self.config) if k != "fastpath"}
+
+    def to_dict(self) -> dict:
+        """The deterministic result document (no timings, no counters)."""
         return {
             "analyses": list(self.analyses),
-            "config": echoed,
+            "config": self._echoed_config(),
             "programs": self.programs,
             "version": repro.__version__,
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Serialize :meth:`to_dict`; byte-stable for identical inputs."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        """The document, byte for byte as ``json.dumps(self.to_dict(),
+        indent=2, sort_keys=True)`` would render it.
+
+        Assembled cell by cell: a small skeleton (``analyses``,
+        ``config``, each program's ``kind`` and ``name``, ``version``)
+        around each cell's text, indented eight more spaces, the depth
+        of ``programs[i].analyses[name]``.  A cell's text is its entry
+        in :attr:`texts`, or :func:`repro.pipeline.cache.render_json`
+        of the cell when it arrives without one.
+        ``tests/pipeline/test_render.py`` pins the assembly to the one
+        ``json.dumps``.
+        """
+        entries = []
+        for index, entry in enumerate(self.programs):
+            cells = entry["analyses"]
+            rendered = []
+            for name in cells:
+                text = self.texts.get((index, name))
+                if text is None:
+                    text = render_json(cells[name])
+                rendered.append((name, _placed(text, 4)))
+            members = [
+                (key, _placed(render_json(value), 3))
+                for key, value in entry.items()
+                if key != "analyses"
+            ]
+            members.append(("analyses", _json_object(rendered, 3)))
+            entries.append(_json_object(members, 2))
+        return _json_object(
+            [
+                ("analyses", _placed(render_json(list(self.analyses)), 1)),
+                ("config", _placed(render_json(self._echoed_config()), 1)),
+                ("programs", _json_array(entries, 1)),
+                ("version", json.dumps(repro.__version__)),
+            ],
+            0,
+        )
 
     def program(self, name: str) -> dict:
         """The entry for the program called ``name``."""
@@ -327,9 +400,12 @@ def run_pipeline(
     The three resident-service hooks (``repro serve`` uses all of
     them): ``pool`` is a caller-owned :class:`WorkerPool` reused
     across calls instead of a per-call executor; ``cache`` is a
-    caller-owned cache object (``lookup``/``put``, e.g. a
-    :class:`repro.pipeline.cache.TieredCache`) that overrides
-    ``cache_dir``/``use_cache``; ``observer`` is a caller-owned
+    caller-owned cache object that overrides ``cache_dir``/``use_cache``
+    and speaks :class:`repro.pipeline.cache.ResultCache`'s protocol
+    (``lookup`` gives ``(result, text, corrupt)``, ``put`` gives
+    ``(landed, text)``), e.g. a
+    :class:`repro.pipeline.cache.TieredCache`, whose memory tier's
+    texts the document reuses; ``observer`` is a caller-owned
     :class:`repro.observe.MetricsAggregator` that accumulates across
     calls, and whose sink (a :class:`repro.observe.TraceEmitter`)
     receives the run's spans and lifecycle events.  The observer
@@ -355,6 +431,7 @@ def run_pipeline(
         cache = ResultCache(cache_dir) if (cache_dir and use_cache) else None
 
     results: Dict[Tuple[int, str], dict] = {}
+    texts: Dict[Tuple[int, str], Optional[str]] = {}
     cached_cells: set = set()
     keys: Dict[Tuple[int, str], str] = {}
     # The cache misses: their cells, labels and worker payloads.  Every
@@ -378,7 +455,7 @@ def run_pipeline(
                     repro.__version__,
                 )
                 keys[cell] = key
-                hit, corrupt = cache.lookup(key)
+                hit, texts[cell], corrupt = cache.lookup(key)
                 observer.cache_read(hit is not None, corrupt)
                 if hit is not None:
                     results[cell] = hit
@@ -404,8 +481,10 @@ def run_pipeline(
                 observer.cache_skip_degraded()
             elif result.get("error_type") == "WorkerCrash":
                 pass  # environment trouble, not a property of the program
-            elif cache.put(keys[cell], cell[1], result):
-                observer.cache_write()
+            else:
+                landed, texts[cell] = cache.put(keys[cell], cell[1], result)
+                if landed:
+                    observer.cache_write()
 
     for index, (name, source, kind) in enumerate(entries):
         for analysis in analyses:
@@ -440,7 +519,7 @@ def run_pipeline(
     metrics = observer.to_dict(
         elapsed_seconds=elapsed, jobs=jobs, deadline=merged["deadline"]
     )
-    return PipelineResult(programs, analyses, merged, metrics)
+    return PipelineResult(programs, analyses, merged, metrics, texts)
 
 
 def _pool_context():

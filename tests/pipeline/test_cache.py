@@ -194,7 +194,7 @@ def test_cache_get_put_roundtrip(tmp_path):
     cache = ResultCache(str(tmp_path / "c"))
     key = "ab" + "0" * 62
     assert cache.get(key) is None
-    assert cache.put(key, "cert", {"certified": True}) is True
+    assert cache.put(key, "cert", {"certified": True}) == (True, None)
     assert cache.get(key) == {"certified": True}
 
 
@@ -203,7 +203,7 @@ def test_unwritable_cache_root_is_a_no_op(tmp_path):
     blocker.write_text("a file where the cache root should be")
     cache = ResultCache(str(blocker / "sub"))
     # must not raise, and must not claim the write
-    assert cache.put("ab" + "0" * 62, "cert", {"certified": True}) is False
+    assert cache.put("ab" + "0" * 62, "cert", {"certified": True}) == (False, None)
 
 
 # -- write-path hygiene (regression: a failed write stranded *.tmp files) ----
@@ -226,7 +226,7 @@ def test_failed_replace_leaves_no_tmp_litter(tmp_path, monkeypatch):
 
     monkeypatch.setattr("repro.pipeline.cache.os.replace", refuse)
     # must not raise, and must not claim the write
-    assert cache.put("ab" + "0" * 62, "cert", {"certified": True}) is False
+    assert cache.put("ab" + "0" * 62, "cert", {"certified": True}) == (False, None)
     assert _tmp_litter(tmp_path) == []
     assert cache.get("ab" + "0" * 62) is None  # nothing half-written
 
@@ -234,7 +234,7 @@ def test_failed_replace_leaves_no_tmp_litter(tmp_path, monkeypatch):
 def test_unserializable_result_leaves_no_tmp_litter(tmp_path):
     cache = ResultCache(str(tmp_path / "c"))
     # must not raise, and must not claim the write
-    assert cache.put("ab" + "0" * 62, "cert", {"bad": object()}) is False
+    assert cache.put("ab" + "0" * 62, "cert", {"bad": object()}) == (False, None)
     assert _tmp_litter(tmp_path) == []
     assert cache.get("ab" + "0" * 62) is None
 
@@ -245,7 +245,7 @@ def test_entry_file_holds_the_sorted_key_json_of_its_payload(tmp_path):
     cache = ResultCache(str(tmp_path / "c"))
     key = "cd" + "0" * 62
     result = {"zeta": [1, "\u00e9", None], "alpha": {"b": True, "a": 2.5}}
-    assert cache.put(key, "explore", result)
+    assert cache.put(key, "explore", result) == (True, None)
     (path,) = [
         os.path.join(root, name)
         for root, _, names in os.walk(tmp_path)
@@ -285,7 +285,7 @@ def test_memory_lru_eviction_order_and_counters():
     from repro.pipeline import MemoryLRU
 
     lru = MemoryLRU(capacity=2)
-    lru.put("a", {"v": 1})
+    assert lru.put("a", {"v": 1}) == '{\n  "v": 1\n}'  # 12 characters
     lru.put("b", {"v": 2})
     assert lru.get("a") == {"v": 1}  # refreshes "a"
     lru.put("c", {"v": 3})  # evicts "b", the least recently used
@@ -295,7 +295,84 @@ def test_memory_lru_eviction_order_and_counters():
     assert len(lru) == 2
     assert lru.to_dict() == {
         "capacity": 2, "entries": 2, "hits": 3, "misses": 1, "evictions": 1,
+        "text_bytes": 24,
     }
+
+
+def test_memory_lru_text_bytes_stays_exact():
+    """``text_bytes`` is the summed length of the texts the tier holds,
+    through a put, an overwrite of a key, an eviction and ``clear``."""
+    from repro.pipeline import MemoryLRU
+
+    lru = MemoryLRU(capacity=2)
+    small = lru.put("a", {"v": 1})
+    assert lru.to_dict()["text_bytes"] == len(small) == 12
+    big = lru.put("a", {"v": [1, 2, 3]})  # overwrite: the old text goes
+    assert lru.to_dict()["text_bytes"] == len(big)
+    other = lru.put("b", {"w": "x"})
+    assert lru.to_dict()["text_bytes"] == len(big) + len(other)
+    newest = lru.put("c", {})  # evicts "a"
+    assert newest == "{}"
+    assert lru.to_dict()["text_bytes"] == len(other) + len(newest)
+    assert lru.to_dict()["evictions"] == 1
+    lru.clear()
+    assert lru.to_dict()["text_bytes"] == 0
+    assert lru.put("d", {"v": 1}) == small
+    assert lru.to_dict()["text_bytes"] == len(small)
+
+
+def test_memory_lru_put_of_an_unserializable_result_stores_nothing():
+    """Like ``ResultCache.put``, the memory tier swallows a result it
+    cannot encode: nothing is stored and nothing raises."""
+    from repro.pipeline import MemoryLRU, TieredCache
+
+    lru = MemoryLRU(capacity=4)
+    lru.put("k", {"v": 1})
+    for bad in ({"bad": object()}, {1: "x", "y": 2}):
+        assert lru.put("k", bad) is None
+        assert lru.put("fresh", bad) is None
+    assert lru.get("k") == {"v": 1}  # the stored entry is untouched
+    assert lru.get("fresh") is None
+    assert lru.to_dict()["entries"] == 1
+    assert lru.to_dict()["text_bytes"] == 12
+    memory_only = TieredCache(None, MemoryLRU(4))
+    assert memory_only.put("k", "cert", {"bad": object()}) == (False, None)
+
+
+def test_memory_lru_gauge_stays_exact_under_many_threads():
+    """Stress: more threads than cores and a tiny switch interval, each
+    thread putting, overwriting and reading shared keys of a small tier;
+    ``text_bytes`` must equal the summed texts of the entries held."""
+    import sys
+    import threading
+
+    from repro.pipeline import MemoryLRU
+    from repro.pipeline.cache import render_json
+
+    lru = MemoryLRU(capacity=5)
+    keys = [f"k{i}" for i in range(9)]
+    threads, rounds = 8, 300
+
+    def work(n):
+        for i in range(rounds):
+            key = keys[(n + i) % len(keys)]
+            lru.put(key, {"n": n, "pad": "x" * ((n * i) % 17)})
+            lru.get(keys[(n * i) % len(keys)])
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(n,)) for n in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(worker.is_alive() for worker in workers)
+    held = [found for found in map(lru.get, keys) if found is not None]
+    assert len(held) == len(lru) == 5
+    assert lru.to_dict()["text_bytes"] == sum(len(render_json(r)) for r in held)
 
 
 def test_memory_lru_isolates_entries_from_caller_mutation():
@@ -325,12 +402,13 @@ def test_tiered_cache_promotes_disk_hits_into_memory(tmp_path):
 
     key = "ab" + "0" * 62
     first = TieredCache(ResultCache(str(tmp_path / "c")), MemoryLRU(8))
-    assert first.put(key, "cert", {"certified": True}) is True
+    text = '{\n  "certified": true\n}'
+    assert first.put(key, "cert", {"certified": True}) == (True, text)
     # a new tier over the same disk store: memory is cold, disk is warm
     second = TieredCache(ResultCache(str(tmp_path / "c")), MemoryLRU(8))
-    assert second.lookup(key) == ({"certified": True}, False)  # from disk
+    assert second.lookup(key) == ({"certified": True}, text, False)  # from disk
     assert second.lru.hits == 0
-    assert second.lookup(key) == ({"certified": True}, False)  # from memory
+    assert second.lookup(key) == ({"certified": True}, text, False)  # from memory
     assert second.lru.hits == 1
 
 
@@ -454,7 +532,7 @@ def test_an_unreadable_cache_path_is_a_clean_miss(tmp_path):
     blocker = tmp_path / "flat"
     blocker.write_text("a file where the cache root should be")
     key = "ab" + "0" * 62
-    assert ResultCache(str(blocker / "sub")).lookup(key) == (None, False)
+    assert ResultCache(str(blocker / "sub")).lookup(key) == (None, None, False)
     result = run_pipeline(
         small_corpus(2), analyses=("cert",), cache_dir=str(blocker / "sub")
     )
@@ -540,12 +618,12 @@ def test_concurrent_tiered_gets_count_each_corruption_once(tmp_path):
 def test_result_cache_reports_its_own_outcome(tmp_path):
     cache = ResultCache(str(tmp_path / "c"))
     key = "ab" + "0" * 62
-    assert cache.lookup(key) == (None, False)
-    assert cache.put(key, "cert", {"certified": True}) is True
-    assert cache.lookup(key) == ({"certified": True}, False)
+    assert cache.lookup(key) == (None, None, False)
+    assert cache.put(key, "cert", {"certified": True}) == (True, None)
+    assert cache.lookup(key) == ({"certified": True}, None, False)
     _garble(cache, key)
-    assert cache.lookup(key) == (None, True)
-    assert cache.put(key, "cert", {"bad": object()}) is False
+    assert cache.lookup(key) == (None, None, True)
+    assert cache.put(key, "cert", {"bad": object()}) == (False, None)
 
 
 def test_tiered_cache_reports_its_own_outcome(tmp_path):
@@ -555,9 +633,10 @@ def test_tiered_cache_reports_its_own_outcome(tmp_path):
     tier = TieredCache(disk, MemoryLRU(8))
     key = "ab" + "0" * 62
     _garble(disk, key)
-    assert tier.lookup(key) == (None, True)  # memory missed; disk is corrupt
-    assert tier.put(key, "cert", {"certified": True}) is True
-    assert tier.lookup(key) == ({"certified": True}, False)
+    text = '{\n  "certified": true\n}'
+    assert tier.lookup(key) == (None, None, True)  # memory missed; disk is corrupt
+    assert tier.put(key, "cert", {"certified": True}) == (True, text)
+    assert tier.lookup(key) == ({"certified": True}, text, False)
     assert tier.lru.hits == 1  # served from memory, disk never re-read
 
 

@@ -273,6 +273,81 @@ def test_a_repeated_analysis_is_served_once():
     assert svc.metrics_document()["run"]["tasks"] == 2
 
 
+def _tamper(value):
+    """Mutate every container in ``value`` in place."""
+    if isinstance(value, dict):
+        for inner in list(value.values()):
+            _tamper(inner)
+        value["tampered"] = True
+    elif isinstance(value, list):
+        for inner in value:
+            _tamper(inner)
+        value.append("tampered")
+
+
+def test_mutating_a_served_run_leaves_later_responses_unchanged(monkeypatch):
+    """The memory tier keeps each cell as text and decodes a fresh
+    object per hit: mutating a served run's ``programs``, cold or warm,
+    cannot change a later response."""
+    from repro.service import app as app_module
+
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(run_pipeline(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(app_module, "run_pipeline", recording)
+    svc = AnalysisService(jobs=1, cache_dir=None)
+    raw = request_body(analyses=["cert", "lint"])
+    status, first = svc.analyze_json(raw)
+    assert status == 200
+    for _ in range(2):
+        _tamper(runs[-1].programs)
+        assert svc.analyze_json(raw) == (200, first)
+    assert svc.cache.lru.hits == 4
+
+
+def test_a_cold_request_renders_each_cell_once(monkeypatch):
+    """The memory tier renders a computed cell for itself and the
+    response reuses that text; a warm request renders no cell."""
+    from repro.pipeline import cache as cache_module
+    from repro.pipeline import runner as runner_module
+
+    rendered = []
+    render_json = cache_module.render_json
+
+    def counting(value):
+        rendered.append(value)
+        return render_json(value)
+
+    monkeypatch.setattr(cache_module, "render_json", counting)
+    monkeypatch.setattr(runner_module, "render_json", counting)
+    svc = AnalysisService(jobs=1, cache_dir=None)
+    raw = request_body(analyses=["cert", "lint"])
+    status, cold = svc.analyze_json(raw)
+    assert status == 200
+    cells = list(json.loads(cold)["programs"][0]["analyses"].values())
+    assert [sum(value == cell for value in rendered) for cell in cells] == [1, 1]
+    rendered.clear()
+    assert svc.analyze_json(raw) == (200, cold)
+    assert not [value for value in rendered if value in cells]
+
+
+def test_metrics_report_the_memory_tier_text_bytes(tmp_path):
+    """``service.lru.text_bytes`` sums the rendered cells the tier holds."""
+    from repro.pipeline.cache import render_json
+
+    svc = AnalysisService(jobs=1, cache_dir=str(tmp_path / "cache"))
+    raw = request_body(analyses=["cert", "lint"])
+    status, body = svc.analyze_json(raw)
+    assert svc.analyze_json(raw) == (200, body)
+    cells = json.loads(body)["programs"][0]["analyses"].values()
+    lru = svc.metrics_document()["service"]["lru"]
+    assert lru["hits"] == 2
+    assert lru["text_bytes"] == sum(len(render_json(cell)) for cell in cells)
+
+
 def test_health_document_reflects_draining():
     svc = AnalysisService(jobs=1, cache_dir=None, lru_capacity=0)
     status, document = svc.health_document()
