@@ -16,7 +16,11 @@ are labelled:
 
 Each node records the ``cobegin`` arms it executes under (``arm`` — a
 stack of ``(fork_index, branch_index)`` pairs), which the race pass
-uses to decide whether two actions can run in parallel.
+uses to decide whether two actions can run in parallel, and the names
+it reads and writes, set once when the node is built.  Nodes are
+numbered in the order :func:`build_cfg` meets their statements, so the
+atomic actions (``assign``, ``wait``, ``signal``) appear in source
+preorder.
 """
 
 from __future__ import annotations
@@ -55,43 +59,34 @@ class CFGNode:
 
     ``kind`` is one of ``entry``, ``exit``, ``nop``, ``assign``,
     ``wait``, ``signal``, ``skip``, ``branch`` (an ``if`` guard),
-    ``loop`` (a ``while`` guard), ``fork``, ``join``.
+    ``loop`` (a ``while`` guard), ``fork``, ``join``.  ``reads`` holds
+    the names the node reads (guards read their condition;
+    ``wait``/``signal`` read their semaphore) and ``writes`` the names
+    it writes (``wait``/``signal`` modify their semaphore, per Figure
+    2's ``mod``).
     """
 
-    __slots__ = ("idx", "kind", "stmt", "arm")
+    __slots__ = ("idx", "kind", "stmt", "arm", "reads", "writes")
 
     def __init__(self, idx: int, kind: str, stmt: Optional[Stmt], arm: Tuple):
         self.idx = idx
         self.kind = kind
         self.stmt = stmt
         self.arm = arm
+        self.reads: FrozenSet[str] = frozenset()
+        self.writes: FrozenSet[str] = frozenset()
+        if kind == "assign":
+            self.reads = expr_variables(stmt.expr)
+            self.writes = frozenset((stmt.target,))
+        elif kind in ("branch", "loop"):
+            self.reads = expr_variables(stmt.cond)
+        elif kind in ("wait", "signal"):
+            self.reads = self.writes = frozenset((stmt.sem,))
 
     @property
     def loc(self) -> Loc:
         """The source position of the underlying statement."""
         return self.stmt.loc if self.stmt is not None else Loc.none()
-
-    def reads(self) -> FrozenSet[str]:
-        """Variable names this node reads (guards read their condition;
-        ``wait``/``signal`` read their semaphore)."""
-        s = self.stmt
-        if isinstance(s, Assign) and self.kind == "assign":
-            return expr_variables(s.expr)
-        if self.kind in ("branch", "loop"):
-            return expr_variables(s.cond)
-        if self.kind in ("wait", "signal"):
-            return frozenset((s.sem,))
-        return frozenset()
-
-    def writes(self) -> FrozenSet[str]:
-        """Variable names this node writes (``wait``/``signal`` modify
-        their semaphore, per Figure 2's ``mod``)."""
-        s = self.stmt
-        if isinstance(s, Assign) and self.kind == "assign":
-            return frozenset((s.target,))
-        if self.kind in ("wait", "signal"):
-            return frozenset((s.sem,))
-        return frozenset()
 
     def __repr__(self) -> str:
         return f"<CFGNode {self.idx} {self.kind} @{self.loc}>"
@@ -192,12 +187,9 @@ def const_value(expr: Expr):
     return None
 
 
-def build_cfg(subject: Union[Program, Stmt], sync_edges: bool = True) -> CFG:
-    """Construct the CFG of ``subject`` (a program's body or a statement).
-
-    ``sync_edges=False`` omits the signal-to-wait ``sync`` edges for
-    analyses that model processes independently.
-    """
+def build_cfg(subject: Union[Program, Stmt]) -> CFG:
+    """Construct the CFG of ``subject`` (a program's body or a statement),
+    with a ``sync`` edge from every ``signal(s)`` to every ``wait(s)``."""
     stmt = subject.body if isinstance(subject, Program) else subject
     cfg = CFG()
     cfg.entry = cfg.add_node("entry", None, ())
@@ -206,11 +198,10 @@ def build_cfg(subject: Union[Program, Stmt], sync_edges: bool = True) -> CFG:
     cfg.exit = cfg.add_node("exit", None, ())
     for node, kind in exits:
         cfg.add_edge(node, cfg.exit, kind)
-    if sync_edges:
-        for sem, signal_nodes in cfg.signals.items():
-            for s in signal_nodes:
-                for w in cfg.waits.get(sem, ()):
-                    cfg.add_edge(s, w, "sync")
+    for sem, signal_nodes in cfg.signals.items():
+        for s in signal_nodes:
+            for w in cfg.waits.get(sem, ()):
+                cfg.add_edge(s, w, "sync")
     return cfg
 
 

@@ -85,10 +85,10 @@ class RacePass(LintPass):
         accesses: Dict[str, List[Tuple[CFGNode, bool, FrozenSet[str]]]] = {}
         for node in cfg.action_nodes():
             guard = held[node.idx][0]  # value flowing *into* the action
-            for v in node.writes():
+            for v in node.writes:
                 if v in shared:
                     accesses.setdefault(v, []).append((node, True, guard))
-            for v in node.reads():
+            for v in node.reads:
                 if v in shared:
                     accesses.setdefault(v, []).append((node, False, guard))
         out: List[Diagnostic] = []

@@ -111,12 +111,12 @@ def solve(cfg: CFG, analysis: DataflowAnalysis) -> Dict[int, Tuple[object, objec
     return {idx: (pre.get(idx, init), post[idx]) for idx in range(len(cfg.nodes))}
 
 
-def reachable(cfg: CFG, respect_constant_guards: bool = True) -> frozenset:
+def reachable(cfg: CFG) -> frozenset:
     """Node indices reachable from the entry along non-``sync`` edges.
 
-    With ``respect_constant_guards``, a guard whose condition folds to
-    a constant only lets the corresponding edge through — this is what
-    makes ``if 1 = 2 then S`` report ``S`` as unreachable.
+    A guard whose condition folds to a constant only lets the
+    corresponding edge through — this is what makes ``if 1 = 2 then S``
+    report ``S`` as unreachable.
     """
     seen = set()
     stack = [cfg.entry.idx]
@@ -126,7 +126,7 @@ def reachable(cfg: CFG, respect_constant_guards: bool = True) -> frozenset:
             continue
         seen.add(idx)
         node = cfg.nodes[idx]
-        const = cfg.guard_constant(node) if respect_constant_guards else None
+        const = cfg.guard_constant(node)
         for s, kind in cfg.succ[idx]:
             if kind == "sync":
                 continue

@@ -4,8 +4,9 @@
 and :func:`repro.analysis.report.full_report` both sit on top of it):
 normalize the subject (procedures are inlined first, so diagnostics on
 expanded code point at the call site thanks to location propagation),
-build one shared :class:`~repro.staticlint.passes.LintContext`, run
-the requested passes, and filter/sort the result.
+build one shared :class:`~repro.staticlint.passes.LintContext` (the
+CFG and every program fact the passes read), run every pass of
+:data:`ALL_PASSES`, and filter/sort the result.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ def run_lint(
     scheme=None,
     select: Sequence[str] = (),
     ignore: Sequence[str] = (),
-    passes: Optional[Sequence[LintPass]] = None,
     subject_name: str = "",
 ) -> LintResult:
     """Lint ``subject`` and return the filtered, sorted findings.
@@ -114,15 +114,14 @@ def run_lint(
     if scheme is None and binding is not None:
         scheme = binding.scheme
     ctx = LintContext(subject, stmt, program, scheme=scheme, binding=binding)
-    pipeline = tuple(passes) if passes is not None else ALL_PASSES
     diagnostics: List[Diagnostic] = []
-    for lint_pass in pipeline:
+    for lint_pass in ALL_PASSES:
         diagnostics.extend(lint_pass.run(ctx))
     return LintResult(
         diagnostics=filter_diagnostics(
             diagnostics, tuple(select), tuple(ignore)
         ),
-        passes_run=tuple(p.name for p in pipeline),
+        passes_run=tuple(p.name for p in ALL_PASSES),
         subject_name=subject_name,
     )
 

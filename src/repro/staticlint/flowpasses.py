@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import FrozenSet, List, Set
 
 from repro.staticlint.cfg import CFG, CFGNode
-from repro.staticlint.dataflow import DataflowAnalysis, reachable, solve
+from repro.staticlint.dataflow import DataflowAnalysis, solve
 from repro.staticlint.diagnostics import Diagnostic, make
 from repro.staticlint.passes import LintContext, LintPass
 
@@ -116,7 +116,7 @@ class Liveness(DataflowAnalysis):
         """Kill the written name, gen every read name."""
         if node.kind == "assign":
             value = value - {node.stmt.target}
-        return value | node.reads()
+        return value | node.reads
 
 
 class UseBeforeAssignPass(LintPass):
@@ -140,13 +140,12 @@ class UseBeforeAssignPass(LintPass):
             if ctx.kinds.get(name) == "semaphore" or ctx.initial(name) != 0
         )
         solution = solve(cfg, MustAssigned(variables, pre))
-        live = reachable(cfg)
         worst: dict = {}
         for node in cfg.action_nodes():
-            if node.idx not in live:
+            if node.idx not in ctx.reachable:
                 continue  # unreachable reads are RPL303's business
             must = solution[node.idx][0]
-            for v in node.reads():
+            for v in node.reads:
                 if ctx.kinds.get(v) == "semaphore":
                     continue
                 if v in assigned_somewhere and v not in must:
@@ -182,10 +181,9 @@ class DeadAssignmentPass(LintPass):
         cfg = ctx.cfg
         variables = frozenset(ctx.kinds)
         solution = solve(cfg, Liveness(variables))
-        live_nodes = reachable(cfg)
         out = []
         for node in cfg.action_nodes():
-            if node.kind != "assign" or node.idx not in live_nodes:
+            if node.kind != "assign" or node.idx not in ctx.reachable:
                 continue
             target = node.stmt.target
             if ctx.kinds.get(target) == "semaphore" or target in ctx.shared:
@@ -216,11 +214,10 @@ class UnreachablePass(LintPass):
     def run(self, ctx: LintContext) -> List[Diagnostic]:
         """Report the frontier of each unreachable region once."""
         cfg = ctx.cfg
-        live = reachable(cfg)
         out = []
         dead: Set[int] = set()
         for node in cfg.action_nodes():
-            if node.idx in live:
+            if node.idx in ctx.reachable:
                 continue
             dead.add(node.idx)
         for idx in sorted(dead):

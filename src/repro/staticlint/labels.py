@@ -28,17 +28,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro.lang.ast import (
-    If,
-    Signal,
-    Stmt,
-    Wait,
-    While,
-    expr_variables,
-    iter_statements,
-)
+from repro.lang.ast import If, Signal, Stmt, Wait, While, expr_variables
 from repro.staticlint.diagnostics import Diagnostic, make
 from repro.staticlint.passes import LintContext, LintPass
 
@@ -127,7 +119,6 @@ class LabelPass(LintPass):
     def _creep(self, ctx: LintContext, graph) -> List[Diagnostic]:
         from repro.core.constraints import ConstraintGraph, Edge, VarNode
         from repro.errors import ReproError
-        from repro.lang.ast import Assign
 
         binding = ctx.binding
         scheme = binding.scheme
@@ -148,16 +139,11 @@ class LabelPass(LintPass):
             graph.variables,
         )
         # The sinks: every variable the program writes, with the first
-        # statement that does.
+        # statement that does (the CFG numbers them in source preorder).
         first_write: Dict[str, Stmt] = {}
-        for s in iter_statements(ctx.stmt):
-            name: Optional[str] = None
-            if isinstance(s, Assign):
-                name = s.target
-            elif isinstance(s, (Wait, Signal)):
-                name = s.sem
-            if name is not None and name not in first_write:
-                first_write[name] = s
+        for node in ctx.cfg.nodes:
+            for name in node.writes:
+                first_write.setdefault(name, node.stmt)
         out = []
         for name in policy:
             others = {n: c for n, c in policy.items() if n != name}

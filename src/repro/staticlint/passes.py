@@ -2,9 +2,10 @@
 
 A pass is a :class:`LintPass` subclass with a stable ``name``, the
 code family it owns, and a ``run(ctx)`` returning diagnostics.  All
-passes share one :class:`LintContext`, which lazily builds and caches
-the expensive artifacts (CFG, used- and shared-variable sets) so that
-five passes cost roughly one traversal each, keeping ``repro lint``
+passes share one :class:`LintContext`, which builds the program's one
+CFG and every fact the passes read (reachable nodes, used names,
+kinds, semaphores, initial values, shared names) when it is made, so
+no pass repeats a walk of the program, keeping ``repro lint``
 polynomial end to end — the whole point of its existence next to the
 exponential interleaving explorer.
 
@@ -19,22 +20,16 @@ Authoring a new pass (see ``docs/linting.md`` for the full guide):
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
-from repro.lang.ast import (
-    Program,
-    Signal,
-    Stmt,
-    Wait,
-    iter_statements,
-    used_variables,
-)
-from repro.staticlint.cfg import CFG, build_cfg
+from repro.lang.ast import Program, Stmt
+from repro.staticlint.cfg import build_cfg
+from repro.staticlint.dataflow import reachable
 from repro.staticlint.diagnostics import Diagnostic
 
 
 class LintContext:
-    """Everything a pass may want, computed once and cached."""
+    """Everything a pass may want, computed once when the context is made."""
 
     def __init__(
         self,
@@ -44,6 +39,8 @@ class LintContext:
         scheme=None,
         binding=None,
     ):
+        from repro.analysis.atomicity import shared_variables
+
         #: The original analysis subject (before procedure expansion).
         self.subject = subject
         #: The procedure-free body statement every pass analyses.
@@ -54,72 +51,41 @@ class LintContext:
         self.scheme = scheme
         #: Optional policy binding; label passes skip without one.
         self.binding = binding
-        self._cfg: Optional[CFG] = None
-        self._shared: Optional[FrozenSet[str]] = None
-        self._used: Optional[FrozenSet[str]] = None
-        self._kinds: Optional[Dict[str, str]] = None
-
-    @property
-    def cfg(self) -> CFG:
-        """The control-flow graph (built on first use, with sync edges)."""
-        if self._cfg is None:
-            self._cfg = build_cfg(self.stmt)
-        return self._cfg
-
-    @property
-    def shared(self) -> FrozenSet[str]:
-        """Variables shared between parallel processes (non-semaphores)."""
-        if self._shared is None:
-            from repro.analysis.atomicity import shared_variables
-
-            self._shared = shared_variables(self.stmt)
-        return self._shared
-
-    @property
-    def used(self) -> FrozenSet[str]:
-        """Every variable the body statement mentions."""
-        if self._used is None:
-            self._used = used_variables(self.stmt)
-        return self._used
-
-    @property
-    def kinds(self) -> Dict[str, str]:
-        """``name -> "integer" | "semaphore"`` for every known variable.
-
-        Uses declarations when the subject is a program; for bare
-        statements, semaphores are inferred from ``wait``/``signal``
-        operands.
-        """
-        if self._kinds is None:
-            kinds: Dict[str, str] = {}
-            if self.program is not None:
-                for d in self.program.decls:
-                    for name in d.names:
-                        kinds[name] = d.kind
-            sem_ops = {
-                s.sem
-                for s in iter_statements(self.stmt)
-                if isinstance(s, (Wait, Signal))
-            }
-            for name in self.used:
-                kinds.setdefault(
-                    name, "semaphore" if name in sem_ops else "integer"
-                )
-            self._kinds = kinds
-        return self._kinds
-
-    @property
-    def semaphores(self) -> FrozenSet[str]:
-        """Names typed as semaphores."""
-        return frozenset(n for n, k in self.kinds.items() if k == "semaphore")
+        #: The control-flow graph, with sync edges.
+        self.cfg = build_cfg(stmt)
+        #: Indices of the CFG nodes some execution can reach.
+        self.reachable = reachable(self.cfg)
+        #: Every variable the body statement mentions.
+        self.used = frozenset().union(
+            *(n.reads | n.writes for n in self.cfg.nodes)
+        )
+        #: Variables shared between parallel processes (non-semaphores).
+        self.shared = shared_variables(stmt)
+        #: ``name -> "integer" | "semaphore"`` for every known variable:
+        #: the declarations when the subject is a program (the last one
+        #: wins), then the body's names, a semaphore when some ``wait``
+        #: or ``signal`` names it.
+        self.kinds: Dict[str, str] = {}
+        self._initials: Dict[str, int] = {}
+        decls = program.decls if program is not None else ()
+        for d in decls:
+            for name in d.names:
+                self.kinds[name] = d.kind
+                self._initials.setdefault(name, d.initial)
+        sem_ops = self.cfg.semaphores()
+        for name in self.used:
+            self.kinds.setdefault(
+                name, "semaphore" if name in sem_ops else "integer"
+            )
+        #: Names typed as semaphores.
+        self.semaphores = frozenset(
+            n for n, k in self.kinds.items() if k == "semaphore"
+        )
 
     def initial(self, name: str) -> int:
-        """The declared initial value of ``name`` (0 when undeclared)."""
-        if self.program is not None:
-            for d in self.program.decls:
-                if name in d.names:
-                    return d.initial
-        return 0
+        """The initial value of ``name``'s first declaration (0 when
+        undeclared)."""
+        return self._initials.get(name, 0)
 
 
 class LintPass:
